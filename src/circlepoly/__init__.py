@@ -4,9 +4,9 @@ nonlinear Fourier series that generates them."""
 from .laurent import LaurentPoly, Z, ONE
 from .measures import (
     CircleMeasure,
-    Quadrature,
     circle_nodes,
     l_functional,
+    l_functional_table,
     measure_from_json,
     moment,
     pairing,
@@ -17,6 +17,7 @@ from .szego import (
     ladder_from_coeffs,
     monic_from_moments,
     plancherel_check,
+    plancherel_table,
     verify_system,
 )
 from .nlfs import (

@@ -24,7 +24,13 @@ from . import __version__
 from ._accel import ladder_eval
 from .errors import ConfigError, HypothesisError
 from .laurent import LaurentPoly
-from .measures import CircleMeasure, circle_nodes, l_functional, measure_from_json, pairing
+from .measures import (
+    CircleMeasure,
+    circle_nodes,
+    l_functional_table,
+    measure_from_json,
+    pairing,
+)
 from .nlfs import (
     B_SUP_THRESHOLD,
     forward,
@@ -33,7 +39,7 @@ from .nlfs import (
     outer_from_modulus,
     w_from_ab,
 )
-from .szego import extract_coeffs, ladder_from_coeffs, plancherel_check
+from .szego import extract_coeffs, ladder_from_coeffs, plancherel_table
 from .svgplot import line_chart
 
 
@@ -213,22 +219,26 @@ def run_universality(cfg, outdir, seed: int) -> int:
         raise ConfigError(f"smallest degree must satisfy n >= 2C = {2 * C:g}")
     points = _sample_points(cfg, rng)
     m = int(cfg["quadrature_m"])
+    if m < 1:
+        raise ConfigError("quadrature_m must be positive")
     n_max = degrees[-1] if degrees else 0
     Fpad = np.zeros(n_max, dtype=np.complex128)
     Fpad[: len(F)] = F[:n_max]
     u, v = ladder_eval(Fpad, points)
     # K_n(s,s) on the circle: sum_j phitilde_j(s) conj(phi_j(s))
     kdiag = np.cumsum(v * np.conj(u), axis=0)
+    lvals = l_functional_table(mu, points, degrees, m)
     rows = []
     violated = False
     for si, s in enumerate(points):
         ws = mu.density_at(s)
-        for n in degrees:
+        for k, n in enumerate(degrees):
             gap = abs(np.conj(ws) * kdiag[n, si] - (n + 1)) / (n + 1)
-            lval = l_functional(mu, s, n, m)
+            lval = float(lvals[si, k])
             bound = float(np.exp(30.0 * C)) * lval
-            # absolute slack so a roundoff-level gap cannot trip a zero bound
-            if gap > bound + 1e-12:
+            # absolute slack so a roundoff-level gap cannot trip a zero bound;
+            # written so that a NaN gap or bound fails the certification
+            if not gap <= bound + 1e-12:
                 violated = True
             rows.append([s.real, s.imag, n, C, gap, lval, bound])
     write_csv(
@@ -514,18 +524,19 @@ def run_plancherel(cfg, outdir, seed: int) -> int:
     rng = np.random.default_rng(seed)
     count = int(cfg["systems"])
     n = int(cfg["n"])
+    grid = int(cfg["grid"])
     tol = float(cfg["tol"])
+    if count < 1 or n < 1 or grid < 1:
+        raise ConfigError("plancherel needs positive 'systems', 'n' and 'grid'")
     rows = []
     violated = False
     for t in range(count):
         F = _random_disk(rng, n, float(cfg["radius"]))
-        sys = ladder_from_coeffs(F)
-        for l in range(n):
-            for m_ in range(l + 1, n + 1):
-                lhs, rhs, _ = plancherel_check(sys, l, m_, int(cfg["grid"]))
-                if lhs > rhs + tol:
-                    violated = True
-                rows.append([t, l, m_, lhs, rhs, rhs - lhs])
+        for l, m_, lhs, rhs, _ in plancherel_table(ladder_from_coeffs(F), grid):
+            # a NaN side or tolerance fails the certification
+            if not lhs <= rhs + tol:
+                violated = True
+            rows.append([t, l, m_, lhs, rhs, rhs - lhs])
     write_csv(
         os.path.join(outdir, "plancherel.csv"),
         ["system", "l", "m", "lhs", "rhs", "margin"],

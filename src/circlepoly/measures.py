@@ -9,6 +9,8 @@ onto the grid.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError, DomainError, ToleranceError
@@ -18,22 +20,18 @@ MAX_QUAD_NODES = 2 ** 20
 ADAPTIVE_TOL = 1e-10
 
 
+@functools.lru_cache(maxsize=8)
 def circle_nodes(m: int) -> np.ndarray:
-    """Quadrature nodes e^{2 pi i k / M}, exact for frequencies in (-M, M)."""
-    return np.exp(2j * np.pi * np.arange(m) / m)
+    """Quadrature nodes e^{2 pi i k / M}, exact for frequencies in (-M, M).
 
-
-class Quadrature:
-    """Uniform quadrature rule on the circle with equal weights 1/M."""
-
-    def __init__(self, m: int):
-        if m < 1:
-            raise DomainError("node count must be positive")
-        self.m = m
-        self.nodes = circle_nodes(m)
-
-    def integrate(self, values) -> complex:
-        return complex(np.sum(values) / self.m)
+    The array is shared by every caller asking for the same M and is
+    read-only; copy it before writing.
+    """
+    if m < 1:
+        raise DomainError("node count must be positive")
+    nodes = np.exp(2j * np.pi * np.arange(m) / m)
+    nodes.setflags(write=False)
+    return nodes
 
 
 class CircleMeasure:
@@ -220,27 +218,43 @@ def l_functional(mu: CircleMeasure, s: complex, n: int, m: int = 65536) -> float
     Computes  ∫ min{n+1, 1/((n+1)|y-s|^2)} |dμ(y) - w(s) m(dy)|  with m
     normalized arclength, at a fixed grid size plus exact atom terms.
     Nonnegative; vanishes identically for the uniform measure.  Whether s
-    is a Lebesgue point is not (and cannot be) detected here.
+    is a Lebesgue point is not (and cannot be) detected here.  This is the
+    one-entry case of ``l_functional_table``.
     """
-    if abs(abs(s) - 1.0) > 1e-9:
+    return float(l_functional_table(mu, [s], [n], m)[0, 0])
+
+
+def l_functional_table(mu: CircleMeasure, points, degrees, m: int = 65536) -> np.ndarray:
+    """``l_functional`` at every (point, degree); shape (len(points), len(degrees)).
+
+    The density is sampled on the grid once, |y - s|^2 and |w(y) - w(s)|
+    once per point, so each degree costs one kernel and one weighted sum.
+    """
+    points = [complex(s) for s in points]
+    degrees = list(degrees)
+    if any(abs(abs(s) - 1.0) > 1e-9 for s in points):
         raise DomainError("s must lie on the unit circle")
-    if n < 0:
+    if any(n < 0 for n in degrees):
         raise DomainError("n must be nonnegative")
-    s = complex(s)
-    ws = mu.density_at(s)
-    total = 0.0
-    if mu.density is not None or ws != 0:
+    out = np.zeros((len(points), len(degrees)))
+    if mu.density is not None:
         nodes = circle_nodes(m)
-        # a node coinciding with s divides by zero; the min caps it at n+1
-        with np.errstate(divide="ignore"):
-            kern = np.minimum(n + 1.0, 1.0 / ((n + 1.0) * np.abs(nodes - s) ** 2))
         wvals = mu.density_on_grid(m)
-        total += float(np.sum(kern * np.abs(wvals - ws)) / m)
-    for p, wt in mu.atoms:
-        d2 = abs(p - s) ** 2
-        k = n + 1.0 if d2 == 0 else min(n + 1.0, 1.0 / ((n + 1.0) * d2))
-        total += k * abs(wt)
-    return total
+        for i, s in enumerate(points):
+            d2 = np.abs(nodes - s) ** 2
+            dev = np.abs(wvals - mu.density_at(s))
+            # a node coinciding with s divides by zero; the min caps it at n+1
+            with np.errstate(divide="ignore"):
+                for k, n in enumerate(degrees):
+                    kern = np.minimum(n + 1.0, 1.0 / ((n + 1.0) * d2))
+                    out[i, k] = float(np.sum(kern * dev) / m)
+    for i, s in enumerate(points):
+        for p, wt in mu.atoms:
+            d2 = abs(p - s) ** 2
+            for k, n in enumerate(degrees):
+                kern = n + 1.0 if d2 == 0 else min(n + 1.0, 1.0 / ((n + 1.0) * d2))
+                out[i, k] += kern * abs(wt)
+    return out
 
 
 # -- JSON measure descriptions --------------------------------------------

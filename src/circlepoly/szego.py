@@ -245,12 +245,36 @@ def plancherel_check(sys: OrthoSystem, l: int, m: int, nodes: int = 4096):
     if not 0 <= l < m <= sys.size:
         raise DomainError("need 0 <= l < m <= N")
     zs = circle_nodes(nodes)
+    return _plancherel_sides(
+        sys.phi[l](zs), sys.phi[m](zs), sys.phitilde[l](zs), sys.phitilde[m](zs), sys.F[l:m]
+    )
+
+
+def plancherel_table(sys: OrthoSystem, nodes: int = 4096) -> list:
+    """``plancherel_check`` for every pair 0 <= l < m <= N.
+
+    Returns rows (l, m, lhs, rhs, clamped) in lexicographic order.  Each
+    ladder entry is evaluated on the grid once, so 2(N+1) grid-sized rows
+    are held at a time.
+    """
+    zs = circle_nodes(nodes)
+    phi = [p(zs) for p in sys.phi]
+    phitilde = [p(zs) for p in sys.phitilde]
+    return [
+        (l, m, *_plancherel_sides(phi[l], phi[m], phitilde[l], phitilde[m], sys.F[l:m]))
+        for l in range(sys.size)
+        for m in range(l + 1, sys.size + 1)
+    ]
+
+
+def _plancherel_sides(phi_l, phi_m, phitilde_l, phitilde_m, F_between):
+    """(lhs, rhs, clamped) from grid values of the ladder at indices l < m."""
     # on the circle star = conjugate
-    u = np.conj(sys.phi[l](zs)) * sys.phi[m](zs)
-    v = np.conj(sys.phitilde[l](zs)) * sys.phitilde[m](zs)
+    u = np.conj(phi_l) * phi_m
+    v = np.conj(phitilde_l) * phitilde_m
     mag = 0.5 * np.abs(u + v)
     clamped = bool(np.any(mag <= np.exp(LOG_FLOOR)))
     logs = np.log(np.maximum(mag, np.exp(LOG_FLOOR)))
     lhs = -2.0 * float(np.mean(logs))
-    rhs = float(np.sum(np.log1p(np.abs(sys.F[l:m]) ** 2)))
+    rhs = float(np.sum(np.log1p(np.abs(F_between) ** 2)))
     return lhs, rhs, clamped

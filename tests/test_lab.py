@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -257,6 +258,58 @@ def test_determinism_byte_identical(tmp_path):
     with open(os.path.join(out2, "universality.csv"), "rb") as fh:
         blob2 = fh.read()
     assert blob1 == blob2
+
+
+# Digests of the CSVs these configs wrote at seed 0 when every grid, every
+# l_functional entry and every Plancherel pair was computed on its own; the
+# shared grids and fused reductions must reproduce them byte for byte.
+PINNED_CSV_SHA256 = [
+    (
+        "universality",
+        {"degrees": [8, 16, 32], "points": {"count": 4}, "quadrature_m": 4096},
+        "9cbc91bcfbdf1f895468824863dac4aa41181c3caff6b5898ac0b228dd43fbdc",
+    ),
+    (
+        "plancherel",
+        {"systems": 2, "n": 6, "grid": 512},
+        "04a6bbdd0a3229d4d7ac4b7288b0767613838963090c16539080b2f8fbff2aa2",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,cfg,digest", PINNED_CSV_SHA256, ids=["universality", "plancherel"])
+def test_csv_bytes_pinned(tmp_path, command, cfg, digest):
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 0
+    with open(os.path.join(out, f"{command}.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("universality", {"C": "nan", "degrees": [8], "points": {"count": 2}, "quadrature_m": 1024}),
+        ("plancherel", {"tol": "nan", "systems": 1, "n": 3, "grid": 64}),
+    ],
+)
+def test_nan_never_certifies(tmp_path, command, cfg):
+    code, _ = _run(tmp_path, command, cfg)
+    assert code == 3
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("universality", {"quadrature_m": 0}),
+        ("plancherel", {"n": 0}),
+        ("plancherel", {"grid": 0}),
+        ("plancherel", {"systems": 0}),
+    ],
+)
+def test_empty_grid_configs_rejected(tmp_path, command, cfg):
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 2
+    assert not os.path.exists(os.path.join(out, f"{command}.csv"))
 
 
 def test_seed_changes_random_points(tmp_path):

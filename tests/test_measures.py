@@ -7,6 +7,7 @@ from circlepoly import (
     Z,
     circle_nodes,
     l_functional,
+    l_functional_table,
     measure_from_json,
     moment,
     pairing,
@@ -21,6 +22,26 @@ def test_circle_nodes_are_unimodular_and_exact():
     for j in range(-15, 16):
         val = np.mean(zs ** j)
         assert abs(val - (1.0 if j == 0 else 0.0)) < 1e-14
+
+
+def test_circle_nodes_are_shared_and_read_only():
+    zs = circle_nodes(32)
+    with pytest.raises(ValueError):
+        zs[0] = 0
+    assert circle_nodes(32) is zs
+    other = circle_nodes(64)
+    assert not np.shares_memory(zs, other)
+    assert np.allclose(other[::2], zs)
+    with pytest.raises(DomainError):
+        circle_nodes(0)
+
+
+def test_circle_nodes_cache_is_bounded():
+    maxsize = circle_nodes.cache_info().maxsize
+    assert maxsize is not None
+    for m in range(1, 3 * maxsize):
+        circle_nodes(m)
+    assert circle_nodes.cache_info().currsize <= maxsize
 
 
 def test_uniform_moments():
@@ -133,6 +154,46 @@ def test_l_functional_domain():
         l_functional(mu, 2.0, 4)
     with pytest.raises(DomainError):
         l_functional(mu, 1.0, -1)
+    with pytest.raises(DomainError):
+        l_functional_table(mu, [1.0, 0.5j], [4])
+
+
+def _l_functional_one_degree(mu, s, n, m):
+    """The one-(point, degree) formula, evaluated from scratch."""
+    ws = mu.density_at(s)
+    total = 0.0
+    if mu.density is not None:
+        with np.errstate(divide="ignore"):
+            kern = np.minimum(n + 1.0, 1.0 / ((n + 1.0) * np.abs(circle_nodes(m) - s) ** 2))
+        total += float(np.sum(kern * np.abs(mu.density_on_grid(m) - ws)) / m)
+    for p, wt in mu.atoms:
+        d2 = abs(p - s) ** 2
+        total += (n + 1.0 if d2 == 0 else min(n + 1.0, 1.0 / ((n + 1.0) * d2))) * abs(wt)
+    return total
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        CircleMeasure.mu_r(0.4).scaled(0.75).with_atoms([(1j, 0.2), (-1.0, 0.05)]),
+        CircleMeasure.from_samples(
+            1.0 + 0.4 * circle_nodes(64) ** 3 + 0.2 * np.conj(circle_nodes(64))
+        ),
+    ],
+    ids=["density+atoms", "samples"],
+)
+def test_l_functional_table_matches_one_degree_formula(mu):
+    # s = 1 and s = 1j sit on grid nodes, and 1j also on an atom
+    points = [1.0, 1j, np.exp(0.3j), np.exp(-2.1j)]
+    degrees = [0, 3, 16, 100]
+    m = 1024
+    table = l_functional_table(mu, points, degrees, m)
+    assert table.shape == (len(points), len(degrees))
+    for i, s in enumerate(points):
+        for k, n in enumerate(degrees):
+            expected = _l_functional_one_degree(mu, complex(s), n, m)
+            assert table[i, k] == expected
+            assert l_functional(mu, s, n, m) == expected
 
 
 def test_measure_from_json_kinds():

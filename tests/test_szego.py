@@ -8,6 +8,7 @@ from circlepoly import (
     ladder_from_coeffs,
     monic_from_moments,
     plancherel_check,
+    plancherel_table,
     verify_system,
 )
 from circlepoly.errors import (
@@ -165,6 +166,17 @@ def test_plancherel_inequality_random():
         for m in range(l + 1, 9):
             lhs, rhs, _ = plancherel_check(sys, l, m, 4096)
             assert lhs <= rhs + 1e-8
+
+
+def test_plancherel_table_matches_pairwise_checks():
+    rng = np.random.default_rng(7)
+    F = 0.6 * np.sqrt(rng.uniform(size=7)) * np.exp(2j * np.pi * rng.uniform(size=7))
+    sys = ladder_from_coeffs(F)
+    rows = plancherel_table(sys, 512)
+    pairs = [(l, m) for l in range(7) for m in range(l + 1, 8)]
+    assert [row[:2] for row in rows] == pairs
+    for l, m, *sides in rows:
+        assert tuple(sides) == plancherel_check(sys, l, m, 512)
 
 
 def test_plancherel_bad_indices():
