@@ -33,6 +33,7 @@ from .measures import (
 )
 from .nlfs import (
     B_SUP_THRESHOLD,
+    density_on_circle,
     forward,
     layer_strip,
     layer_strip_truncated,
@@ -162,17 +163,6 @@ def _schedule(cfg) -> list:
     raise ConfigError("degrees must be a list or a base/count/start object")
 
 
-def _density_from_pair(a: LaurentPoly, b: LaurentPoly):
-    """w at arbitrary circle points, straight from the pair."""
-
-    def w(z):
-        z = np.asarray(z, dtype=np.complex128)
-        av, bv = a(z), b(z)
-        return 1.0 / ((np.conj(av) - bv) * (av + np.conj(bv)))
-
-    return w
-
-
 def _rescaled_below_threshold(F, margin=0.01, grid=4096):
     """Shrink F geometrically until grid sup|b| clears the 2^-1/2 threshold."""
     F = np.array(F, dtype=np.complex128)
@@ -271,8 +261,7 @@ def run_lacunary(cfg, outdir, seed: int) -> int:
     F = _coeff_source(cfg, rng)
     F, pair, sup_b = _rescaled_below_threshold(F)
     points = _sample_points(cfg, rng)
-    w = _density_from_pair(pair.a, pair.b)
-    target = np.conj(1.0 / w(points) ** 2)
+    target = np.conj(1.0 / density_on_circle(pair.a(points), pair.b(points)) ** 2)
     n_max = max(degrees)
     Fpad = np.zeros(n_max, dtype=np.complex128)
     Fpad[: min(len(F), n_max)] = F[:n_max]
@@ -335,6 +324,7 @@ def run_fejer(cfg, outdir, seed: int) -> int:
     degrees = sorted(set(int(n) for n in cfg["degrees"]))
     lo, hi = (float(x) for x in cfg["ratio_window"])
     n_max = degrees[-1]
+    s_arr = np.array([s])
     spow = s ** np.arange(1, n_max + 1)
     rows = []
     mism = {}
@@ -342,8 +332,8 @@ def run_fejer(cfg, outdir, seed: int) -> int:
         F = np.zeros(n_max, dtype=np.complex128)
         F[: len(shape)] = eps * shape
         pair = forward(F)
-        ws = _density_from_pair(pair.a, pair.b)(np.array([s]))[0]
-        u, v = ladder_eval(F, np.array([s]))
+        ws = density_on_circle(pair.a(s_arr), pair.b(s_arr))[0]
+        u, v = ladder_eval(F, s_arr)
         kdiag = np.cumsum(v[:, 0] * np.conj(u[:, 0]))
         fhat_partial = np.concatenate([[0.0j], np.cumsum(F * spow)])  # index j: sum to j
         fhat = fhat_partial[-1]
@@ -397,6 +387,13 @@ def run_thm5(cfg, outdir, seed: int) -> int:
     bc = _complex_list(cfg["b"], "b")
     if len(bc) == 0:
         raise ConfigError("b must have at least one coefficient")
+    steps = int(cfg["strip_steps"])
+    bandwidth = int(cfg["bandwidth"])
+    if steps < 1 or bandwidth < 1:
+        raise ConfigError("thm5 needs positive 'strip_steps' and 'bandwidth'")
+    l1_degrees = sorted(set(int(n) for n in cfg["l1_degrees"]))
+    if not l1_degrees or l1_degrees[0] < 0:
+        raise ConfigError("'l1_degrees' must be a non-empty list of degrees >= 0")
     b = LaurentPoly(bc, 1)
     m = int(cfg["grid_m"])
     nodes = circle_nodes(m)
@@ -416,7 +413,7 @@ def run_thm5(cfg, outdir, seed: int) -> int:
     logmod = 0.5 * np.log1p(-np.abs(bv) ** 2)
     astar, outer_err, clamped = outer_from_modulus(logmod, int(cfg["degree_cap"]))
     a = astar.star()
-    F, strip = layer_strip_truncated(a, b, int(cfg["strip_steps"]), int(cfg["bandwidth"]))
+    F, strip = layer_strip_truncated(a, b, steps, bandwidth)
     wsamp = w_from_ab(a, b, m)
     mu = CircleMeasure.from_samples(wsamp, kind="thm5")
     c0_err = float(abs(np.mean(wsamp) - 1.0))
@@ -427,7 +424,6 @@ def run_thm5(cfg, outdir, seed: int) -> int:
         for k in range(d + 1):
             val = pairing(sys.phi[j], sys.phitilde[k], mu, int(cfg["ortho_quadrature"]))
             ortho = max(ortho, abs(val - (1.0 if j == k else 0.0)))
-    l1_degrees = sorted(set(int(n) for n in cfg["l1_degrees"]))
     n_max = l1_degrees[-1]
     Fpad = np.zeros(max(n_max, len(F)), dtype=np.complex128)
     Fpad[: len(F)] = F
@@ -485,7 +481,10 @@ def run_roundtrip(cfg, outdir, seed: int) -> int:
     rng = np.random.default_rng(seed)
     trials = int(cfg["trials"])
     n = int(cfg["n"])
-    ne = min(int(cfg["extract_n"]), n)
+    extract_n = int(cfg["extract_n"])
+    if trials < 1 or n < 1 or extract_n < 1:
+        raise ConfigError("roundtrip needs positive 'trials', 'n' and 'extract_n'")
+    ne = min(extract_n, n)
     radius = float(cfg["radius"])
     strip_tol = float(cfg["strip_tol"])
     extract_tol = float(cfg["extract_tol"])
@@ -500,7 +499,8 @@ def run_roundtrip(cfg, outdir, seed: int) -> int:
         PhiT = [sys.monic_tilde(j) for j in range(ne + 1)]
         F2, _, tag, _ = extract_coeffs(Phi, PhiT)
         extract_err = float(np.max(np.abs(F2 - F[:ne])))
-        if strip_err > strip_tol or extract_err > extract_tol or tag != "Tminus":
+        # a NaN error or tolerance fails the certification
+        if not strip_err <= strip_tol or not extract_err <= extract_tol or tag != "Tminus":
             violated = True
         rows.append([t, n, strip_err, extract_err])
     write_csv(

@@ -97,20 +97,6 @@ class UniversalityRecord:
     Lvalue: float
     bound: float
 
-    def csv_row(self):
-        return [
-            self.s.real,
-            self.s.imag,
-            self.n,
-            self.C,
-            self.gap,
-            self.Lvalue,
-            self.bound,
-        ]
-
-
-UNIVERSALITY_CSV_COLUMNS = ["s_re", "s_im", "n", "C", "gap", "L", "bound"]
-
 
 def universality_gap(
     sys: OrthoSystem,

@@ -23,7 +23,8 @@ class LaurentPoly:
         c = np.asarray(coeffs, dtype=np.complex128)
         if c.ndim != 1:
             raise ValueError("coefficient array must be one-dimensional")
-        if trim:
+        # only a window that starts or ends on a zero needs trimming
+        if trim and not (len(c) and c[0] != 0 and c[-1] != 0):
             nz = np.flatnonzero(c)
             if nz.size == 0:
                 c = c[:0]
@@ -251,6 +252,15 @@ def _coerce(x) -> LaurentPoly:
     if np.isscalar(x):
         return LaurentPoly([x]) if x != 0 else LaurentPoly.zero()
     raise TypeError(f"cannot interpret {x!r} as LaurentPoly")
+
+
+def coeffs_to_json(arr) -> list:
+    """Complex values as a JSON list of [re, im] pairs."""
+    return [[float(np.real(c)), float(np.imag(c))] for c in np.asarray(arr)]
+
+
+def coeffs_from_json(items) -> np.ndarray:
+    return np.array([complex(x, y) for x, y in items], dtype=np.complex128)
 
 
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,19 +15,6 @@ from .errors import DomainError
 from .measures import CircleMeasure
 from .szego import OrthoSystem
 
-LOCALPARAMS_CSV_COLUMNS = [
-    "s_re",
-    "s_im",
-    "n",
-    "abs_A",
-    "abs_B",
-    "abs_Atilde",
-    "abs_Btilde",
-    "prod",
-    "diff",
-    "zero_distance",
-]
-
 
 @dataclass(frozen=True)
 class LocalParams:

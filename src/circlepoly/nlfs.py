@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, MalformedPairError, StrippingError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, coeffs_from_json, coeffs_to_json
 from .measures import CircleMeasure, circle_nodes
 
 B_SUP_THRESHOLD = 2 ** -0.5
@@ -41,23 +41,15 @@ class NLFSPair:
     def to_json(self) -> dict:
         return {
             "n": self.n,
-            "a": {"lo": self.a.lo, "coeffs": _c2j(self.a.coeffs)},
-            "b": {"lo": self.b.lo, "coeffs": _c2j(self.b.coeffs)},
+            "a": {"lo": self.a.lo, "coeffs": coeffs_to_json(self.a.coeffs)},
+            "b": {"lo": self.b.lo, "coeffs": coeffs_to_json(self.b.coeffs)},
         }
 
     @staticmethod
     def from_json(doc: dict) -> "NLFSPair":
-        a = LaurentPoly(_j2c(doc["a"]["coeffs"]), doc["a"]["lo"])
-        b = LaurentPoly(_j2c(doc["b"]["coeffs"]), doc["b"]["lo"])
+        a = LaurentPoly(coeffs_from_json(doc["a"]["coeffs"]), doc["a"]["lo"])
+        b = LaurentPoly(coeffs_from_json(doc["b"]["coeffs"]), doc["b"]["lo"])
         return NLFSPair(a, b, int(doc["n"]))
-
-
-def _c2j(arr):
-    return [[float(np.real(c)), float(np.imag(c))] for c in np.asarray(arr)]
-
-
-def _j2c(items):
-    return np.array([complex(x, y) for x, y in items], dtype=np.complex128)
 
 
 def su2_residual(a: LaurentPoly, b: LaurentPoly) -> float:
@@ -70,17 +62,20 @@ def forward(F) -> NLFSPair:
     """Multiply the matrix factors left to right.
 
     One step sends (a, b) to ((a - conj(F_j) z^{-j} b) / rho,
-    (F_j z^j a + b) / rho) with rho = sqrt(1+|F_j|^2).
+    (F_j z^j a + b) / rho) with rho = sqrt(1+|F_j|^2), in place on arrays
+    over [-n, 0] and [1, n].
     """
     F = np.asarray(F, dtype=np.complex128)
-    a = LaurentPoly.one()
-    b = LaurentPoly.zero()
+    n = len(F)
+    a = np.zeros(n + 1, dtype=np.complex128)
+    b = np.zeros(n, dtype=np.complex128)
+    a[n] = 1.0
     for j, f in enumerate(F, start=1):
-        rho = np.sqrt(1.0 + abs(f) ** 2)
-        a_new = (a - b.shift(-j).scale(np.conj(f))) / rho
-        b_new = (a.shift(j).scale(f) + b) / rho
-        a, b = a_new, b_new
-    return NLFSPair(a, b, len(F))
+        inv = 1.0 / np.sqrt(1.0 + abs(f) ** 2)
+        a_old = a[n + 1 - j :].copy()
+        a[n + 1 - j :] = (a_old - b[:j] * np.conj(f)) * inv
+        b[:j] = (a_old * f + b[:j]) * inv
+    return NLFSPair(LaurentPoly(a, -n), LaurentPoly(b, 1), n)
 
 
 def to_polys(pair: NLFSPair, tol: float = 1e-9):
@@ -109,6 +104,8 @@ def layer_strip(pair: NLFSPair, tol: float = 1e-9) -> np.ndarray:
     Peeling from one end only lets roundoff compound over all n steps;
     splitting keeps each sweep short enough that the recovered sequence
     satisfies forward(F) = pair to well below 1e-9 per coefficient.
+    a and b are peeled in place in arrays loaded with the input's whole
+    support; each step checks and zeroes the entries that leave the window.
     """
     res = su2_residual(pair.a, pair.b)
     if res > 1e-8:
@@ -119,49 +116,46 @@ def layer_strip(pair: NLFSPair, tol: float = 1e-9) -> np.ndarray:
     # size scales with the accumulated dynamic range (norms grow like
     # prod(1+|F_j|^2)), so the structural check sits well above tol
     spill_tol = max(1e4 * tol, 1e4 * res)
-    a, b = pair.a, pair.b
     n = pair.n
-    F = np.zeros(n, dtype=np.complex128)
     h = n // 2
-    for k in range(1, h + 1):
-        a0c = np.conj(a[0])
-        if abs(a0c) < 1e-12:
-            raise StrippingError(f"stripping degenerate at step {k}: |a[0]| < 1e-12")
-        f = b[k] / a0c
-        F[k - 1] = f
-        rho = np.sqrt(1.0 + abs(f) ** 2)
-        a_new = (a + b.star().shift(k).scale(f)) / rho
-        b_new = (b - a.star().shift(k).scale(f)) / rho
-        spill = max(_outside(a_new, -(n - k), 0), _outside(b_new, k + 1, n))
+    alo, ahi = min(pair.a.lo, -n), max(pair.a.hi, 0)
+    blo, bhi = min(pair.b.lo, 1), max(pair.b.hi, n + 1)
+    if h:  # step 1 peels off the left: a at m meets b at 1 - m
+        lo, hi = min(alo, 1 - bhi), max(ahi, 1 - blo)
+        blo = 1 - hi
+    else:  # step 1, if any, peels off the right: a at m meets b at m + 1
+        lo, hi = min(alo, blo - 1), max(ahi, bhi - 1)
+        blo = lo + 1
+    a = pair.a.window(lo, hi)
+    b = pair.b.window(blo, blo + hi - lo)
+    F = np.zeros(n, dtype=np.complex128)
+    wlo, whi = lo, hi  # live window of a
+    for k in [*range(1, h + 1), *range(n, h, -1)]:
+        if k <= h:  # off the left; the rest holds factors k+1 .. n
+            F[k - 1] = _peel_bottom(a, lo, b, blo, k, wlo, whi)
+            b_live, rest = (k - whi, k - wlo), (k + 1, n)
+        else:  # off the right; the rest holds factors h+1 .. k-1
+            a0 = complex(a[-lo])  # a Python complex: its division is not numpy's
+            if abs(a0) < 1e-12:
+                raise StrippingError(f"stripping degenerate at step {k}: |a[0]| < 1e-12")
+            f = F[k - 1] = complex(b[k - blo]) / a0
+            inv = 1.0 / np.sqrt(1.0 + abs(f) ** 2)
+            sa, sb = slice(wlo - lo, whi - lo + 1), slice(wlo + k - blo, whi + k - blo + 1)
+            a_old = a[sa].copy()
+            a[sa] = (a_old + b[sb] * np.conj(f)) * inv
+            b[sb] = (b[sb] - a_old * f) * inv
+            b_live, rest = (wlo + k, whi + k), (h + 1, k - 1)
+        # b keeps the rest's support, a one frequency more than its own
+        a_keep = rest[0] - rest[1] - 1
+        spill = max(_leave(a, lo, wlo, whi, a_keep, 0), _leave(b, blo, *b_live, *rest))
         if spill > spill_tol:
             raise StrippingError(
                 f"pair is not an exact finite series (spill {spill:.3e} at step {k})",
                 residual=spill,
             )
-        a = a_new.clip(-(n - k), 0)
-        b = b_new.clip(k + 1, n)
-    for k in range(n, h, -1):
-        a0 = a[0]
-        if abs(a0) < 1e-12:
-            raise StrippingError(f"stripping degenerate at step {k}: |a[0]| < 1e-12")
-        f = b[k] / a0
-        F[k - 1] = f
-        rho = np.sqrt(1.0 + abs(f) ** 2)
-        a_new = (a + b.shift(-k).scale(np.conj(f))) / rho
-        b_new = (b - a.shift(k).scale(f)) / rho
-        # the remaining product holds factors h+1 .. k-1
-        spill = max(
-            _outside(a_new, -(k - 1 - h), 0),
-            _outside(b_new, h + 1, k - 1),
-        )
-        if spill > spill_tol:
-            raise StrippingError(
-                f"pair is not an exact finite series (spill {spill:.3e} at step {k})",
-                residual=spill,
-            )
-        a = a_new.clip(-(k - 1 - h), 0)
-        b = b_new.clip(h + 1, k - 1)
-    rem = (a - 1).max_abs() + b.max_abs()
+        wlo, whi = a_keep, 0
+    a[-lo] -= 1
+    rem = float(np.max(np.abs(a))) + float(np.max(np.abs(b)))
     if rem > 1e-7:
         raise StrippingError(
             f"residual pair is not the identity (norm {rem:.3e})", residual=rem
@@ -169,13 +163,31 @@ def layer_strip(pair: NLFSPair, tol: float = 1e-9) -> np.ndarray:
     return F
 
 
-def _outside(p: LaurentPoly, lo: int, hi: int) -> float:
-    if p.is_zero():
-        return 0.0
-    mask = np.ones(len(p.coeffs), dtype=bool)
-    ks = np.arange(p.lo, p.hi + 1)
-    mask &= (ks < lo) | (ks > hi)
-    return float(np.max(np.abs(p.coeffs[mask]))) if mask.any() else 0.0
+def _peel_bottom(a, a_lo, b, b_lo, k, lo, hi):
+    """Left-multiply by the inverse of factor k in place and return F_k.
+    a (an array from frequency a_lo) is live on [lo, hi]; there it meets b
+    (from b_lo) on [k - hi, k - lo] through z^k b* and z^k a*."""
+    a0c = np.conj(a[-a_lo])
+    if abs(a0c) < 1e-12:
+        raise StrippingError(f"stripping degenerate at step {k}: |a[0]| < 1e-12")
+    f = b[k - b_lo] / a0c
+    inv = 1.0 / np.sqrt(1.0 + abs(f) ** 2)
+    sa = slice(lo - a_lo, hi - a_lo + 1)
+    sb = slice(k - hi - b_lo, k - lo - b_lo + 1)
+    a_old = a[sa].copy()
+    a[sa] = (a_old + np.conj(b[sb][::-1]) * f) * inv
+    b[sb] = (b[sb] - np.conj(a_old[::-1]) * f) * inv
+    return f
+
+
+def _leave(x, x_lo, lo, hi, keep_lo, keep_hi) -> float:
+    """Largest |x| on [lo, hi] outside [keep_lo, keep_hi]; those entries
+    are zeroed.  x is an array from frequency x_lo."""
+    below = slice(lo - x_lo, max(keep_lo, lo) - x_lo)
+    above = slice(min(keep_hi, hi) + 1 - x_lo, hi + 1 - x_lo)
+    gone = np.abs(np.concatenate((x[below], x[above])))
+    x[below] = x[above] = 0
+    return float(np.maximum.reduce(gone, initial=0.0))
 
 
 def layer_strip_truncated(a: LaurentPoly, b: LaurentPoly, steps: int, bandwidth: int):
@@ -187,20 +199,20 @@ def layer_strip_truncated(a: LaurentPoly, b: LaurentPoly, steps: int, bandwidth:
     the residual sup of |b| left after the last step and the grid SU(2)
     residual of the clipped pair.
     """
-    a = a.clip(-bandwidth, 0)
-    b = b.clip(1, bandwidth + steps)
+    # step 1 meets b on [1, bandwidth + steps], which reaches a down to
+    # 1 - bandwidth - steps
+    lo = min(-bandwidth, 1 - bandwidth - steps)
+    a_arr = a.clip(-bandwidth, 0).window(lo, 0)
+    b_arr = b.window(1, bandwidth + steps)
     F = np.zeros(steps, dtype=np.complex128)
+    wlo = lo
     for k in range(1, steps + 1):
-        astar0 = np.conj(a[0])
-        if abs(astar0) < 1e-12:
-            raise StrippingError(f"stripping degenerate at step {k}")
-        f = b[k] / astar0
-        F[k - 1] = f
-        rho = np.sqrt(1.0 + abs(f) ** 2)
-        a_new = (a + b.star().shift(k).scale(f)) / rho
-        b_new = (b - a.star().shift(k).scale(f)) / rho
-        a = a_new.clip(-bandwidth, 0)
-        b = b_new.clip(k + 1, k + bandwidth)
+        F[k - 1] = _peel_bottom(a_arr, lo, b_arr, 1, k, wlo, 0)
+        _leave(a_arr, lo, wlo, 0, -bandwidth, 0)
+        _leave(b_arr, 1, k, k - wlo, k + 1, k + bandwidth)
+        wlo = -bandwidth
+    a = LaurentPoly(a_arr, lo)
+    b = LaurentPoly(b_arr, 1)
     grid = circle_nodes(2048)
     av, bv = a(grid), b(grid)
     report = {
@@ -286,7 +298,12 @@ def w_from_ab(a: LaurentPoly, b: LaurentPoly, m: int = 8192) -> np.ndarray:
         raise HypothesisError(
             f"sup|b| = {bmax:.6f} >= 2^-1/2; the density is not well defined"
         )
-    # star coincides with conjugation on the circle
+    return density_on_circle(av, bv)
+
+
+def density_on_circle(av, bv):
+    """w = 1/((a* - b)(a + b*)) from values of a and b at circle points,
+    where star coincides with conjugation."""
     return 1.0 / ((np.conj(av) - bv) * (av + np.conj(bv)))
 
 

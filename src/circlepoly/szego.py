@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MalformedLadderError, NearSingularMomentError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, coeffs_from_json, coeffs_to_json
 from .measures import CircleMeasure, circle_nodes, moment, pairing
+from .nlfs import LOG_FLOOR
 
 T_MINUS = "Tminus"
 T_PLUS = "Tplus"
@@ -38,7 +39,6 @@ class OrthoSystem:
     phitilde: list
     norms: np.ndarray
     class_tag: str = T_MINUS
-    both_classes: bool = False
 
     @property
     def size(self) -> int:
@@ -53,26 +53,18 @@ class OrthoSystem:
     def to_json(self) -> dict:
         return {
             "class": self.class_tag,
-            "F": _c2j(self.F),
-            "Ftilde": _c2j(self.Ftilde),
-            "phi": [_c2j(p.window(0, n)) for n, p in enumerate(self.phi)],
-            "phitilde": [_c2j(p.window(0, n)) for n, p in enumerate(self.phitilde)],
+            "F": coeffs_to_json(self.F),
+            "Ftilde": coeffs_to_json(self.Ftilde),
+            "phi": [coeffs_to_json(p.window(0, n)) for n, p in enumerate(self.phi)],
+            "phitilde": [coeffs_to_json(p.window(0, n)) for n, p in enumerate(self.phitilde)],
             "norms": list(map(float, self.norms)),
         }
 
     @staticmethod
     def from_json(doc: dict) -> "OrthoSystem":
-        F = _j2c(doc["F"])
+        F = coeffs_from_json(doc["F"])
         sys = ladder_from_coeffs(F, doc.get("class", T_MINUS))
         return sys
-
-
-def _c2j(arr):
-    return [[float(np.real(c)), float(np.imag(c))] for c in np.asarray(arr)]
-
-
-def _j2c(items):
-    return np.array([complex(a, b) for a, b in items], dtype=np.complex128)
 
 
 def ladder_from_coeffs(F, cls: str = T_MINUS) -> OrthoSystem:
@@ -93,14 +85,25 @@ def ladder_from_coeffs(F, cls: str = T_MINUS) -> OrthoSystem:
     phitilde = [LaurentPoly.one()]
     norms = np.empty(len(F) + 1)
     norms[0] = 1.0
+    # rows n of phi and phitilde as dense arrays over degrees 0..n
+    p = q = np.ones(1, dtype=np.complex128)
     for n, f in enumerate(F):
         fsq = abs(f) ** 2
         norms[n + 1] = norms[n] * (1 + fsq) if cls == T_MINUS else norms[n] * (1 - fsq)
         rho = np.sqrt(1 + fsq) if cls == T_MINUS else np.sqrt(1 - fsq)
+        inv = 1.0 / rho
         fc = np.conj(f)
-        p, q = phi[n], phitilde[n]
-        phi.append((p.shift(1) + q.star().shift(n).scale(fc)) / rho)
-        phitilde.append((q.shift(1) + p.star().shift(n).scale(sign * fc)) / rho)
+        # adding into zeros, like the zero padding of a LaurentPoly sum,
+        # turns a -0 entry into +0, which keeps the result bitwise equal
+        pq = np.zeros((2, n + 2), dtype=np.complex128)
+        pq[0, 1:] += p
+        pq[1, 1:] += q
+        pq[0, : n + 1] += np.conj(q[::-1]) * fc
+        pq[1, : n + 1] += np.conj(p[::-1]) * (sign * fc)
+        pq *= inv
+        p, q = pq
+        phi.append(LaurentPoly(p))
+        phitilde.append(LaurentPoly(q))
     Ftilde = sign * F  # Ftilde = -F (Tminus) or F (Tplus)
     return OrthoSystem(
         F=F,
@@ -230,9 +233,6 @@ def verify_system(
         val = pairing(sys.monic(n), sys.monic_tilde(n), mu, m)
         norm = max(norm, abs(val - sys.norms[n]))
     return SystemReport(ortho, det, norm)
-
-
-LOG_FLOOR = -700.0
 
 
 def plancherel_check(sys: OrthoSystem, l: int, m: int, nodes: int = 4096):

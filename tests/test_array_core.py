@@ -1,0 +1,251 @@
+"""The array-native recursions against their LaurentPoly formulations.
+
+The reference functions below run one step of each SU(2) recursion on
+immutable LaurentPoly values, as the package did before the recursions
+moved onto preallocated arrays.  The array versions must reproduce them
+bit for bit, including exact zeros in F, degenerate lengths and the
+spill reported for a pair that is not the series it claims to be.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from circlepoly import (
+    LaurentPoly,
+    NLFSPair,
+    circle_nodes,
+    forward,
+    ladder_from_coeffs,
+    layer_strip,
+    layer_strip_truncated,
+    outer_from_modulus,
+)
+from circlepoly.errors import StrippingError
+from circlepoly.nlfs import su2_residual
+
+
+def _forward_ref(F):
+    F = np.asarray(F, dtype=np.complex128)
+    a = LaurentPoly.one()
+    b = LaurentPoly.zero()
+    for j, f in enumerate(F, start=1):
+        rho = np.sqrt(1.0 + abs(f) ** 2)
+        a_new = (a - b.shift(-j).scale(np.conj(f))) / rho
+        b_new = (a.shift(j).scale(f) + b) / rho
+        a, b = a_new, b_new
+    return NLFSPair(a, b, len(F))
+
+
+def _outside(p, lo, hi):
+    if p.is_zero():
+        return 0.0
+    ks = np.arange(p.lo, p.hi + 1)
+    mask = (ks < lo) | (ks > hi)
+    return float(np.max(np.abs(p.coeffs[mask]))) if mask.any() else 0.0
+
+
+def _layer_strip_ref(pair, tol=1e-9):
+    res = su2_residual(pair.a, pair.b)
+    if res > 1e-8:
+        raise StrippingError(f"input is not an SU(2) pair (residual {res:.3e})", residual=res)
+    spill_tol = max(1e4 * tol, 1e4 * res)
+    a, b = pair.a, pair.b
+    n = pair.n
+    F = np.zeros(n, dtype=np.complex128)
+    h = n // 2
+    for k in range(1, h + 1):
+        a0c = np.conj(a[0])
+        if abs(a0c) < 1e-12:
+            raise StrippingError(f"stripping degenerate at step {k}: |a[0]| < 1e-12")
+        f = b[k] / a0c
+        F[k - 1] = f
+        rho = np.sqrt(1.0 + abs(f) ** 2)
+        a_new = (a + b.star().shift(k).scale(f)) / rho
+        b_new = (b - a.star().shift(k).scale(f)) / rho
+        spill = max(_outside(a_new, -(n - k), 0), _outside(b_new, k + 1, n))
+        if spill > spill_tol:
+            raise StrippingError(
+                f"pair is not an exact finite series (spill {spill:.3e} at step {k})",
+                residual=spill,
+            )
+        a = a_new.clip(-(n - k), 0)
+        b = b_new.clip(k + 1, n)
+    for k in range(n, h, -1):
+        a0 = a[0]
+        if abs(a0) < 1e-12:
+            raise StrippingError(f"stripping degenerate at step {k}: |a[0]| < 1e-12")
+        f = b[k] / a0
+        F[k - 1] = f
+        rho = np.sqrt(1.0 + abs(f) ** 2)
+        a_new = (a + b.shift(-k).scale(np.conj(f))) / rho
+        b_new = (b - a.shift(k).scale(f)) / rho
+        spill = max(_outside(a_new, -(k - 1 - h), 0), _outside(b_new, h + 1, k - 1))
+        if spill > spill_tol:
+            raise StrippingError(
+                f"pair is not an exact finite series (spill {spill:.3e} at step {k})",
+                residual=spill,
+            )
+        a = a_new.clip(-(k - 1 - h), 0)
+        b = b_new.clip(h + 1, k - 1)
+    rem = (a - 1).max_abs() + b.max_abs()
+    if rem > 1e-7:
+        raise StrippingError(f"residual pair is not the identity (norm {rem:.3e})", residual=rem)
+    return F
+
+
+def _layer_strip_truncated_ref(a, b, steps, bandwidth):
+    a = a.clip(-bandwidth, 0)
+    b = b.clip(1, bandwidth + steps)
+    F = np.zeros(steps, dtype=np.complex128)
+    for k in range(1, steps + 1):
+        f = b[k] / np.conj(a[0])
+        F[k - 1] = f
+        rho = np.sqrt(1.0 + abs(f) ** 2)
+        a_new = (a + b.star().shift(k).scale(f)) / rho
+        b_new = (b - a.star().shift(k).scale(f)) / rho
+        a = a_new.clip(-bandwidth, 0)
+        b = b_new.clip(k + 1, k + bandwidth)
+    grid = circle_nodes(2048)
+    av, bv = a(grid), b(grid)
+    report = {
+        "b_residual_sup": float(np.max(np.abs(bv))) if not b.is_zero() else 0.0,
+        "su2_grid_residual": float(np.max(np.abs(np.abs(av) ** 2 + np.abs(bv) ** 2 - 1.0))),
+    }
+    return F, report
+
+
+def _ladder_ref(F, cls):
+    F = np.asarray(F, dtype=np.complex128)
+    sign = -1.0 if cls == "Tminus" else 1.0
+    phi = [LaurentPoly.one()]
+    phitilde = [LaurentPoly.one()]
+    for n, f in enumerate(F):
+        fsq = abs(f) ** 2
+        rho = np.sqrt(1 + fsq) if cls == "Tminus" else np.sqrt(1 - fsq)
+        fc = np.conj(f)
+        p, q = phi[n], phitilde[n]
+        phi.append((p.shift(1) + q.star().shift(n).scale(fc)) / rho)
+        phitilde.append((q.shift(1) + p.star().shift(n).scale(sign * fc)) / rho)
+    return phi, phitilde
+
+
+def _same(p, q):
+    return p.lo == q.lo and p.coeffs.tobytes() == q.coeffs.tobytes()
+
+
+def _draw(n, kind, seed=0):
+    """n disk draws of radius 0.6, with a third of them set to exact zeros;
+    "real" keeps only real parts, so every imaginary part is a signed zero."""
+    rng = np.random.default_rng([seed, n])
+    F = 0.6 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    if kind == "real":
+        F = F.real.astype(np.complex128)
+    F[rng.uniform(size=n) < 1 / 3] = 0
+    return F
+
+
+SIZES = [0, 1, 2, 3, 17, 64]
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+@pytest.mark.parametrize("n", SIZES)
+def test_forward_matches_reference_bitwise(n, kind):
+    F = _draw(n, kind)
+    got, ref = forward(F), _forward_ref(F)
+    assert got.n == ref.n
+    assert _same(got.a, ref.a) and _same(got.b, ref.b)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+@pytest.mark.parametrize("n", SIZES)
+def test_layer_strip_matches_reference_bitwise(n, kind):
+    pair = _forward_ref(_draw(n, kind))
+    assert layer_strip(pair).tobytes() == _layer_strip_ref(pair).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+@pytest.mark.parametrize("cls", ["Tminus", "Tplus"])
+@pytest.mark.parametrize("n", SIZES)
+def test_ladder_matches_reference_bitwise(n, cls, kind):
+    F = _draw(n, kind)
+    sys = ladder_from_coeffs(F, cls)
+    phi, phitilde = _ladder_ref(F, cls)
+    assert len(sys.phi) == len(phi) == n + 1
+    assert all(_same(p, q) for p, q in zip(sys.phi, phi))
+    assert all(_same(p, q) for p, q in zip(sys.phitilde, phitilde))
+
+
+def test_layer_strip_truncated_matches_reference_bitwise():
+    # the b of the thm5 pipeline test, completed to a by its outer function
+    b = LaurentPoly(np.array([0.3, 0.0, 0.2], dtype=np.complex128), 1)
+    bv = b(circle_nodes(8192))
+    astar, _, _ = outer_from_modulus(0.5 * np.log1p(-np.abs(bv) ** 2), 256)
+    a = astar.star()
+    for steps, bandwidth in [(32, 256), (5, 3), (1, 1)]:
+        F, report = layer_strip_truncated(a, b, steps, bandwidth)
+        F_ref, report_ref = _layer_strip_truncated_ref(a, b, steps, bandwidth)
+        assert F.tobytes() == F_ref.tobytes()
+        assert report == report_ref
+
+
+def test_mislabelled_length_spills_over_the_whole_support():
+    # ten factors labelled as eight: a reaches -9 and b reaches 9 and 10,
+    # and the first step must see all of it
+    rng = np.random.default_rng(0)
+    F = 0.3 * np.sqrt(rng.uniform(size=10)) * np.exp(2j * np.pi * rng.uniform(size=10))
+    pair = forward(F)
+    relabelled = NLFSPair(pair.a, pair.b, 8)
+    with pytest.raises(StrippingError) as info:
+        layer_strip(relabelled)
+    err = info.value
+    assert "spill 2.347e-01 at step 1" in str(err)
+    assert err.residual == 0.23467118739615297
+    with pytest.raises(StrippingError) as ref:
+        _layer_strip_ref(relabelled)
+    assert str(ref.value) == str(err) and ref.value.residual == err.residual
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_malformed_supports_match_reference(n):
+    # pairs shifted off their windows: the top-first (n <= 1) and
+    # bottom-first loads must both see the whole support
+    pair = _forward_ref(_draw(3, "complex", seed=1))
+    for bad in (
+        NLFSPair(pair.a.shift(1), pair.b.shift(1), n),
+        NLFSPair(pair.a.shift(-1), pair.b.shift(-1), n),
+    ):
+        with pytest.raises(StrippingError) as got:
+            layer_strip(bad)
+        with pytest.raises(StrippingError) as ref:
+            _layer_strip_ref(bad)
+        assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_phase_rotated_pairs_match_reference(n):
+    # (e^{0.3i} a, e^{-0.7i} b) stays SU(2) but is no series; with |F_j| up
+    # to 1.5 the top sweep's spill and the final remainder decide the error,
+    # so every entry that leaves a window must be checked and zeroed
+    for seed in range(3):
+        rng = np.random.default_rng([seed, n])
+        F = 1.5 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+        pair = _forward_ref(F)
+        bad = NLFSPair(pair.a.scale(np.exp(0.3j)), pair.b.scale(np.exp(-0.7j)), n)
+        outcomes = []
+        for strip in (layer_strip, _layer_strip_ref):
+            try:
+                outcomes.append(strip(bad).tobytes())
+            except StrippingError as e:
+                outcomes.append((str(e), e.residual))
+        assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 64), st.integers(0, 2 ** 32 - 1))
+def test_strip_inverts_forward_up_to_64(n, seed):
+    rng = np.random.default_rng(seed)
+    F = 0.3 * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    F2 = layer_strip(forward(F))
+    assert F2.shape == F.shape
+    assert np.max(np.abs(F2 - F), initial=0.0) < 1e-9

@@ -285,11 +285,48 @@ def test_csv_bytes_pinned(tmp_path, command, cfg, digest):
         assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
+# Digests of the files these configs wrote at seed 0 when forward,
+# layer_strip and the ladder recursion stepped through LaurentPoly values;
+# the array-native recursions must reproduce them byte for byte.
+PINNED_OUTPUT_SHA256 = [
+    (
+        "roundtrip",
+        {"trials": 2, "n": 16, "extract_n": 8},
+        "roundtrip.csv",
+        "5ef3a9958c8437db49d27ec51a4dd0948df116b848386525a2f995d9078baab8",
+    ),
+    (
+        "counterexample",
+        {"n_max": 16},
+        "counterexample.csv",
+        "9aae67a13ce1f5d81151cbb859295f9941b307638dfe82a73b7476f27105e763",
+    ),
+    (
+        "thm5",
+        {"b": [[0.3, 0.0], [0.0, 0.0], [0.2, 0.0]], "l1_degrees": [1, 4, 16]},
+        "thm5_report.json",
+        "6acc7d36bfb2af9de31d0b16fd612b59e88cab69e79a68a40e178496052ae954",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command,cfg,fname,digest", PINNED_OUTPUT_SHA256, ids=["roundtrip", "counterexample", "thm5"]
+)
+def test_output_bytes_pinned(tmp_path, command, cfg, fname, digest):
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 0
+    with open(os.path.join(out, fname), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
 @pytest.mark.parametrize(
     "command,cfg",
     [
         ("universality", {"C": "nan", "degrees": [8], "points": {"count": 2}, "quadrature_m": 1024}),
         ("plancherel", {"tol": "nan", "systems": 1, "n": 3, "grid": 64}),
+        ("roundtrip", {"strip_tol": "nan", "trials": 1, "n": 4, "extract_n": 2}),
+        ("roundtrip", {"extract_tol": "nan", "trials": 1, "n": 4, "extract_n": 2}),
     ],
 )
 def test_nan_never_certifies(tmp_path, command, cfg):
@@ -310,6 +347,24 @@ def test_empty_grid_configs_rejected(tmp_path, command, cfg):
     code, out = _run(tmp_path, command, cfg)
     assert code == 2
     assert not os.path.exists(os.path.join(out, f"{command}.csv"))
+
+
+@pytest.mark.parametrize(
+    "command,cfg,artifact",
+    [
+        ("roundtrip", {"n": 0}, "roundtrip.csv"),
+        ("roundtrip", {"trials": 0}, "roundtrip.csv"),
+        ("roundtrip", {"extract_n": 0}, "roundtrip.csv"),
+        ("thm5", {"b": [[0.3, 0.0]], "l1_degrees": []}, "thm5_report.json"),
+        ("thm5", {"b": [[0.3, 0.0]], "strip_steps": 0}, "thm5_report.json"),
+        ("thm5", {"b": [[0.3, 0.0]], "bandwidth": 0}, "thm5_report.json"),
+        ("thm5", {"b": [[0.71, 0.0]], "l1_degrees": []}, "thm5_report.json"),
+    ],
+)
+def test_nonpositive_sizes_rejected(tmp_path, command, cfg, artifact):
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 2
+    assert not os.path.exists(os.path.join(out, artifact))
 
 
 def test_seed_changes_random_points(tmp_path):
