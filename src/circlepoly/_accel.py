@@ -1,74 +1,18 @@
-"""Hot kernels: point evaluation of the normalized polynomial ladder.
+"""Hot kernel: point evaluation of the normalized polynomial ladder.
 
 On |s| = 1 the star of a polynomial coincides with its conjugate, so the
 whole ladder can be evaluated at circle points by a scalar recursion
 without materializing any coefficients.  This is the inner loop of the
-lacunary and universality experiments.
-
-The numba-compiled path is default; set CIRCLEPOLY_NO_NUMBA=1 to force
-the pure-numpy fallback (same results, slower for long ladders).
+lacunary and universality experiments.  It runs in numpy, vectorized
+over the points.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-USE_NUMBA = os.environ.get("CIRCLEPOLY_NO_NUMBA", "") not in ("1", "true", "yes")
-
-
-def _ladder_eval_numpy(F, s):
-    n = len(F)
-    p = len(s)
-    u = np.empty((n + 1, p), dtype=np.complex128)
-    v = np.empty((n + 1, p), dtype=np.complex128)
-    u[0] = 1.0
-    v[0] = 1.0
-    spow = np.ones(p, dtype=np.complex128)  # s^k
-    for k in range(n):
-        fc = np.conj(F[k])
-        rho = np.sqrt(1.0 + abs(F[k]) ** 2)
-        u[k + 1] = (s * u[k] + spow * fc * np.conj(v[k])) / rho
-        v[k + 1] = (s * v[k] - spow * fc * np.conj(u[k])) / rho
-        spow = spow * s
-    return u, v
-
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _ladder_eval_numba(F, s):  # pragma: no cover - jitted
-            n = len(F)
-            p = len(s)
-            u = np.empty((n + 1, p), dtype=np.complex128)
-            v = np.empty((n + 1, p), dtype=np.complex128)
-            for j in range(p):
-                sj = s[j]
-                uk = 1.0 + 0.0j
-                vk = 1.0 + 0.0j
-                u[0, j] = uk
-                v[0, j] = vk
-                spow = 1.0 + 0.0j
-                for k in range(n):
-                    fc = np.conj(F[k])
-                    rho = np.sqrt(1.0 + abs(F[k]) ** 2)
-                    un = (sj * uk + spow * fc * np.conj(vk)) / rho
-                    vn = (sj * vk - spow * fc * np.conj(uk)) / rho
-                    uk, vk = un, vn
-                    u[k + 1, j] = uk
-                    v[k + 1, j] = vk
-                    spow = spow * sj
-            return u, v
-
-        _impl = _ladder_eval_numba
-    except ImportError:  # numba unavailable: silently fall back
-        USE_NUMBA = False
-        _impl = _ladder_eval_numpy
-else:
-    _impl = _ladder_eval_numpy
+# there is no compiled path; kept for callers that report the backend
+USE_NUMBA = False
 
 
 def ladder_eval(F, s):
@@ -88,11 +32,17 @@ def ladder_eval(F, s):
     s = np.ascontiguousarray(s, dtype=np.complex128)
     if np.any(np.abs(np.abs(s) - 1.0) > 1e-9):
         raise ValueError("ladder_eval requires points on the unit circle")
-    return _impl(F, s)
-
-
-def ladder_eval_numpy(F, s):
-    """Fallback-path ladder evaluation, for testing and benchmarks."""
-    F = np.ascontiguousarray(F, dtype=np.complex128)
-    s = np.ascontiguousarray(s, dtype=np.complex128)
-    return _ladder_eval_numpy(F, s)
+    n = len(F)
+    p = len(s)
+    u = np.empty((n + 1, p), dtype=np.complex128)
+    v = np.empty((n + 1, p), dtype=np.complex128)
+    u[0] = 1.0
+    v[0] = 1.0
+    spow = np.ones(p, dtype=np.complex128)  # s^k
+    for k in range(n):
+        fc = np.conj(F[k])
+        rho = np.sqrt(1.0 + abs(F[k]) ** 2)
+        u[k + 1] = (s * u[k] + spow * fc * np.conj(v[k])) / rho
+        v[k + 1] = (s * v[k] - spow * fc * np.conj(u[k])) / rho
+        spow = spow * s
+    return u, v

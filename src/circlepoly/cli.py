@@ -64,10 +64,7 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         code = RUNNERS[args.command](cfg, args.out, args.seed)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except DomainError as e:
+    except (ConfigError, DomainError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except HypothesisError as e:
@@ -81,9 +78,6 @@ def main(argv=None) -> int:
     ) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
-    except OSError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     if code == 3:
         print("bound or invariant violated; see output files", file=sys.stderr)
     return code

@@ -23,14 +23,9 @@ import numpy as np
 from . import __version__
 from ._accel import ladder_eval
 from .errors import ConfigError, HypothesisError
-from .laurent import LaurentPoly
-from .measures import (
-    CircleMeasure,
-    circle_nodes,
-    l_functional_table,
-    measure_from_json,
-    pairing,
-)
+from .kernels import gap_and_bound
+from .laurent import LaurentPoly, coeffs_to_json
+from .measures import CircleMeasure, circle_nodes, l_functional_table, measure_from_json
 from .nlfs import (
     B_SUP_THRESHOLD,
     density_on_circle,
@@ -40,7 +35,7 @@ from .nlfs import (
     outer_from_modulus,
     w_from_ab,
 )
-from .szego import extract_coeffs, ladder_from_coeffs, plancherel_table
+from .szego import extract_coeffs, ladder_from_coeffs, orthonormality_residual, plancherel_table
 from .svgplot import line_chart
 
 
@@ -90,6 +85,32 @@ def _merge_defaults(cfg: dict, defaults: dict) -> dict:
     return out
 
 
+def _int(value, what: str, lo: int = 1) -> int:
+    """An integer config value of at least ``lo``."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{what} must be an integer") from e
+    if n < lo:
+        raise ConfigError(f"{what} must be >= {lo}")
+    return n
+
+
+def _float(value, what: str) -> float:
+    """A real config value.  NaN passes, so that a certification fails on it."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{what} must be a number") from e
+
+
+def _list(values, what: str, size: int | None = None) -> list:
+    """A non-empty list, of exactly ``size`` entries when given."""
+    if not isinstance(values, list) or not values or size not in (None, len(values)):
+        raise ConfigError(f"{what} must be a non-empty list" + (f" of {size}" if size else ""))
+    return values
+
+
 def _complex_list(items, what: str):
     try:
         return np.array([complex(v[0], v[1]) for v in items], dtype=np.complex128)
@@ -112,9 +133,7 @@ def _sample_points(cfg, rng) -> np.ndarray:
             raise ConfigError("explicit points must lie on the unit circle")
         return pts
     if isinstance(spec, dict) and "count" in spec:
-        count = int(spec["count"])
-        if count < 1:
-            raise ConfigError("points.count must be positive")
+        count = _int(spec["count"], "points.count")
         return np.exp(2j * np.pi * rng.uniform(size=count))
     raise ConfigError("points must give 'explicit' pairs or a 'count'")
 
@@ -128,10 +147,10 @@ def _coeff_source(cfg, rng, key="coeffs"):
         return _complex_list(spec["explicit"], f"{key}.explicit")
     if isinstance(spec, dict) and "random" in spec:
         rnd = spec["random"]
-        count = int(rnd.get("count", 256))
-        radius = float(rnd.get("radius", 0.05))
-        if count < 1 or radius <= 0:
-            raise ConfigError(f"{key}.random needs positive count and radius")
+        count = _int(rnd.get("count", 256), f"{key}.random.count")
+        radius = _float(rnd.get("radius", 0.05), f"{key}.random.radius")
+        if radius <= 0:
+            raise ConfigError(f"{key}.random needs a positive radius")
         vals = _random_disk(rng, count, radius)
         if rnd.get("real"):
             vals = vals.real.astype(np.complex128)
@@ -143,24 +162,26 @@ def _schedule(cfg) -> list:
     """Degree schedule: explicit list or lacunary base/count/start."""
     spec = cfg.get("degrees", {"base": 1.5, "count": 20, "start": 4})
     if isinstance(spec, list):
-        ns = [int(n) for n in spec]
-        if not ns or any(n < 1 for n in ns):
-            raise ConfigError("explicit degree list must hold positive integers")
-        return ns
+        return [_int(n, "degrees") for n in _list(spec, "degrees")]
     if isinstance(spec, dict):
-        base = float(spec.get("base", 1.5))
-        count = int(spec.get("count", 20))
-        start = int(spec.get("start", 4))
+        base = _float(spec.get("base", 1.5), "degrees.base")
+        count = _int(spec.get("count", 20), "degrees.count")
+        start = _int(spec.get("start", 4), "degrees.start")
         if base <= 1.0:
             raise ConfigError("lacunary schedule needs base > 1")
-        if count < 1 or start < 1:
-            raise ConfigError("lacunary schedule needs positive count and start")
         ns, n = [], start
         for _ in range(count):
             ns.append(n)
             n = max(int(np.ceil(base * n)), n + 1)
         return ns
     raise ConfigError("degrees must be a list or a base/count/start object")
+
+
+def _ladder_coeffs(F, n: int) -> np.ndarray:
+    """F cut or zero-padded to length n, the coefficients of a ladder to degree n."""
+    out = np.zeros(n, dtype=np.complex128)
+    out[: min(len(F), n)] = F[:n]
+    return out
 
 
 def _rescaled_below_threshold(F, margin=0.01, grid=4096):
@@ -203,18 +224,13 @@ def run_universality(cfg, outdir, seed: int) -> int:
         raise ConfigError(
             "this measure has no built-in coefficients; supply 'coeffs'"
         )
-    C = float(cfg["C"])
-    degrees = sorted(set(int(n) for n in _schedule(cfg)))
-    if degrees and degrees[0] < 2 * C:
+    C = _float(cfg["C"], "C")
+    degrees = sorted(set(_schedule(cfg)))
+    if degrees[0] < 2 * C:
         raise ConfigError(f"smallest degree must satisfy n >= 2C = {2 * C:g}")
     points = _sample_points(cfg, rng)
-    m = int(cfg["quadrature_m"])
-    if m < 1:
-        raise ConfigError("quadrature_m must be positive")
-    n_max = degrees[-1] if degrees else 0
-    Fpad = np.zeros(n_max, dtype=np.complex128)
-    Fpad[: len(F)] = F[:n_max]
-    u, v = ladder_eval(Fpad, points)
+    m = _int(cfg["quadrature_m"], "quadrature_m")
+    u, v = ladder_eval(_ladder_coeffs(F, degrees[-1]), points)
     # K_n(s,s) on the circle: sum_j phitilde_j(s) conj(phi_j(s))
     kdiag = np.cumsum(v * np.conj(u), axis=0)
     lvals = l_functional_table(mu, points, degrees, m)
@@ -223,9 +239,9 @@ def run_universality(cfg, outdir, seed: int) -> int:
     for si, s in enumerate(points):
         ws = mu.density_at(s)
         for k, n in enumerate(degrees):
-            gap = abs(np.conj(ws) * kdiag[n, si] - (n + 1)) / (n + 1)
             lval = float(lvals[si, k])
-            bound = float(np.exp(30.0 * C)) * lval
+            # on the diagonal z = lam = s the Dirichlet kernel is n + 1
+            gap, bound = gap_and_bound(ws, kdiag[n, si], n + 1, n, C, lval)
             # absolute slack so a roundoff-level gap cannot trip a zero bound;
             # written so that a NaN gap or bound fails the certification
             if not gap <= bound + 1e-12:
@@ -262,10 +278,7 @@ def run_lacunary(cfg, outdir, seed: int) -> int:
     F, pair, sup_b = _rescaled_below_threshold(F)
     points = _sample_points(cfg, rng)
     target = np.conj(1.0 / density_on_circle(pair.a(points), pair.b(points)) ** 2)
-    n_max = max(degrees)
-    Fpad = np.zeros(n_max, dtype=np.complex128)
-    Fpad[: min(len(F), n_max)] = F[:n_max]
-    u, v = ladder_eval(Fpad, points)
+    u, v = ladder_eval(_ladder_coeffs(F, max(degrees)), points)
     rows, qrows = [], []
     for k, n in enumerate(degrees, start=1):
         err = np.abs((np.conj(u[n]) * v[n]) ** 2 - target)
@@ -317,20 +330,26 @@ def run_fejer(cfg, outdir, seed: int) -> int:
     if norm1 == 0:
         raise ConfigError("the F-shape must be nonzero")
     shape = shape / norm1
-    s = complex(cfg["point"][0], cfg["point"][1])
+    s = complex(*(_float(x, "point") for x in _list(cfg["point"], "point", 2)))
     if abs(abs(s) - 1.0) > 1e-9:
         raise ConfigError("evaluation point must lie on the unit circle")
-    epsilons = [float(e) for e in cfg["epsilons"]]
-    degrees = sorted(set(int(n) for n in cfg["degrees"]))
-    lo, hi = (float(x) for x in cfg["ratio_window"])
+    epsilons = [_float(e, "epsilons") for e in _list(cfg["epsilons"], "epsilons")]
+    # the scaling check applies to halving steps only; a NaN step is kept, and fails
+    pairs = zip(epsilons, epsilons[1:])
+    halvings = [(e1, e2) for e1, e2 in pairs if not abs(e1 - 2 * e2) > 1e-12 * e1]
+    if not halvings:
+        raise ConfigError("epsilons must hold a halving step: e followed by e/2")
+    degrees = sorted(set(_int(n, "degrees", 0) for n in _list(cfg["degrees"], "degrees")))
+    lo, hi = (_float(x, "ratio_window") for x in _list(cfg["ratio_window"], "ratio_window", 2))
     n_max = degrees[-1]
+    if n_max < len(shape):
+        raise ConfigError(f"the largest degree must be >= the shape length {len(shape)}")
     s_arr = np.array([s])
     spow = s ** np.arange(1, n_max + 1)
     rows = []
     mism = {}
     for eps in epsilons:
-        F = np.zeros(n_max, dtype=np.complex128)
-        F[: len(shape)] = eps * shape
+        F = _ladder_coeffs(eps * shape, n_max)
         pair = forward(F)
         ws = density_on_circle(pair.a(s_arr), pair.b(s_arr))[0]
         u, v = ladder_eval(F, s_arr)
@@ -343,9 +362,7 @@ def run_fejer(cfg, outdir, seed: int) -> int:
             rows.append([eps, n, nonlinear, fejer, abs(nonlinear - 2 * fejer)])
             mism[(eps, n)] = abs(nonlinear - 2 * fejer)
     violated = False
-    for e1, e2 in zip(epsilons, epsilons[1:]):
-        if abs(e1 - 2 * e2) > 1e-12 * e1:
-            continue  # scaling check only applies to halving steps
+    for e1, e2 in halvings:
         for n in degrees:
             if mism[(e2, n)] < 1e-14:
                 continue
@@ -387,15 +404,16 @@ def run_thm5(cfg, outdir, seed: int) -> int:
     bc = _complex_list(cfg["b"], "b")
     if len(bc) == 0:
         raise ConfigError("b must have at least one coefficient")
-    steps = int(cfg["strip_steps"])
-    bandwidth = int(cfg["bandwidth"])
-    if steps < 1 or bandwidth < 1:
-        raise ConfigError("thm5 needs positive 'strip_steps' and 'bandwidth'")
-    l1_degrees = sorted(set(int(n) for n in cfg["l1_degrees"]))
-    if not l1_degrees or l1_degrees[0] < 0:
-        raise ConfigError("'l1_degrees' must be a non-empty list of degrees >= 0")
+    steps = _int(cfg["strip_steps"], "strip_steps")
+    bandwidth = _int(cfg["bandwidth"], "bandwidth")
+    l1_degrees = sorted(
+        set(_int(n, "l1_degrees", 0) for n in _list(cfg["l1_degrees"], "l1_degrees"))
+    )
+    ortho_degree = _int(cfg["ortho_degree"], "ortho_degree", 0)
+    ortho_m = _int(cfg["ortho_quadrature"], "ortho_quadrature")
+    degree_cap = _int(cfg["degree_cap"], "degree_cap", 0)
     b = LaurentPoly(bc, 1)
-    m = int(cfg["grid_m"])
+    m = _int(cfg["grid_m"], "grid_m")
     nodes = circle_nodes(m)
     bv = b(nodes)
     sup_b = float(np.max(np.abs(bv)))
@@ -411,23 +429,16 @@ def run_thm5(cfg, outdir, seed: int) -> int:
             fh.write("\n")
         return 3
     logmod = 0.5 * np.log1p(-np.abs(bv) ** 2)
-    astar, outer_err, clamped = outer_from_modulus(logmod, int(cfg["degree_cap"]))
+    astar, outer_err, clamped = outer_from_modulus(logmod, degree_cap)
     a = astar.star()
     F, strip = layer_strip_truncated(a, b, steps, bandwidth)
     wsamp = w_from_ab(a, b, m)
     mu = CircleMeasure.from_samples(wsamp, kind="thm5")
     c0_err = float(abs(np.mean(wsamp) - 1.0))
-    d = min(int(cfg["ortho_degree"]), len(F))
+    d = min(ortho_degree, len(F))
     sys = ladder_from_coeffs(F[: max(d, 1)])
-    ortho = 0.0
-    for j in range(d + 1):
-        for k in range(d + 1):
-            val = pairing(sys.phi[j], sys.phitilde[k], mu, int(cfg["ortho_quadrature"]))
-            ortho = max(ortho, abs(val - (1.0 if j == k else 0.0)))
-    n_max = l1_degrees[-1]
-    Fpad = np.zeros(max(n_max, len(F)), dtype=np.complex128)
-    Fpad[: len(F)] = F
-    u, v = ladder_eval(Fpad, nodes)
+    ortho = orthonormality_residual(sys, mu, d, ortho_m)
+    u, v = ladder_eval(_ladder_coeffs(F, l1_degrees[-1]), nodes)
     winv = 1.0 / np.conj(wsamp)
     l1_rows = []
     for n in l1_degrees:
@@ -441,7 +452,7 @@ def run_thm5(cfg, outdir, seed: int) -> int:
             "su2_grid_residual": strip["su2_grid_residual"],
             "c0_err": c0_err,
             "orthonormality_max": ortho,
-            "coeffs": [[float(f.real), float(f.imag)] for f in F],
+            "coeffs": coeffs_to_json(F),
             "config_hash": config_hash(cfg),
         }
     )
@@ -479,15 +490,12 @@ def run_roundtrip(cfg, outdir, seed: int) -> int:
     cfg = _merge_defaults(cfg, ROUNDTRIP_DEFAULTS)
     cfg["seed"] = seed
     rng = np.random.default_rng(seed)
-    trials = int(cfg["trials"])
-    n = int(cfg["n"])
-    extract_n = int(cfg["extract_n"])
-    if trials < 1 or n < 1 or extract_n < 1:
-        raise ConfigError("roundtrip needs positive 'trials', 'n' and 'extract_n'")
-    ne = min(extract_n, n)
-    radius = float(cfg["radius"])
-    strip_tol = float(cfg["strip_tol"])
-    extract_tol = float(cfg["extract_tol"])
+    trials = _int(cfg["trials"], "trials")
+    n = _int(cfg["n"], "n")
+    ne = min(_int(cfg["extract_n"], "extract_n"), n)
+    radius = _float(cfg["radius"], "radius")
+    strip_tol = _float(cfg["strip_tol"], "strip_tol")
+    extract_tol = _float(cfg["extract_tol"], "extract_tol")
     rows = []
     violated = False
     for t in range(trials):
@@ -522,16 +530,15 @@ def run_plancherel(cfg, outdir, seed: int) -> int:
     cfg = _merge_defaults(cfg, PLANCHEREL_DEFAULTS)
     cfg["seed"] = seed
     rng = np.random.default_rng(seed)
-    count = int(cfg["systems"])
-    n = int(cfg["n"])
-    grid = int(cfg["grid"])
-    tol = float(cfg["tol"])
-    if count < 1 or n < 1 or grid < 1:
-        raise ConfigError("plancherel needs positive 'systems', 'n' and 'grid'")
+    count = _int(cfg["systems"], "systems")
+    n = _int(cfg["n"], "n")
+    grid = _int(cfg["grid"], "grid")
+    tol = _float(cfg["tol"], "tol")
+    radius = _float(cfg["radius"], "radius")
     rows = []
     violated = False
     for t in range(count):
-        F = _random_disk(rng, n, float(cfg["radius"]))
+        F = _random_disk(rng, n, radius)
         for l, m_, lhs, rhs, _ in plancherel_table(ladder_from_coeffs(F), grid):
             # a NaN side or tolerance fails the certification
             if not lhs <= rhs + tol:
@@ -560,11 +567,13 @@ def run_counterexample(cfg, outdir, seed: int) -> int:
     """The one-coefficient family: closed forms and the r -> 1 blow-up."""
     cfg = _merge_defaults(cfg, COUNTEREXAMPLE_DEFAULTS)
     cfg["seed"] = seed
-    n_max = int(cfg["n_max"])
-    nodes = circle_nodes(int(cfg["grid"]))
+    n_max = _int(cfg["n_max"], "n_max")
+    nodes = circle_nodes(_int(cfg["grid"], "grid"))
+    r_values = [_float(r, "r_values") for r in _list(cfg["r_values"], "r_values")]
+    growth = [_float(r, "growth_r") for r in _list(cfg["growth_r"], "growth_r")]
     rows = []
     violated = False
-    for r in [float(r) for r in cfg["r_values"]]:
+    for r in r_values:
         mu = CircleMeasure.mu_r(r)
         F = np.zeros(n_max, dtype=np.complex128)
         F[0] = r
@@ -593,7 +602,6 @@ def run_counterexample(cfg, outdir, seed: int) -> int:
         rows,
         config_hash(cfg),
     )
-    growth = [float(r) for r in cfg["growth_r"]]
     grows = []
     prev_max = -np.inf
     for r in growth:

@@ -124,9 +124,11 @@ def universality_gap(
     if abs(lam - s) > C / n + 1e-12:
         raise DomainError("hypothesis |lambda - s| <= C/n violated")
     ws = mu.density_at(s)
-    kn = k_direct(sys, n, z, lam)
-    dn = dirichlet(n, z, lam)
-    gap = abs(np.conj(ws) * kn - dn) / (n + 1)
     lval = l_functional(mu, s, n, m)
-    bound = float(np.exp(30.0 * C)) * lval
+    gap, bound = gap_and_bound(ws, k_direct(sys, n, z, lam), dirichlet(n, z, lam), n, C, lval)
     return UniversalityRecord(complex(s), n, float(C), float(gap), lval, bound)
+
+
+def gap_and_bound(ws, kn, dn, n: int, C: float, lval: float):
+    """(1/(n+1))|conj(w(s)) K_n - D_n| and the bound exp(30C) L it is held to."""
+    return abs(np.conj(ws) * kn - dn) / (n + 1), float(np.exp(30.0 * C)) * lval

@@ -279,9 +279,5 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft(fa * fb)[:n]
 
 
-def convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
-
 Z = LaurentPoly.monomial(1)
 ONE = LaurentPoly.one()

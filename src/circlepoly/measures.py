@@ -289,7 +289,11 @@ def measure_from_json(spec: dict) -> CircleMeasure:
     else:
         raise ConfigError(f"unknown measure kind {kind!r}")
     if "scale" in spec:
-        mu = mu.scaled(complex(spec["scale"]))
+        try:
+            scale = complex(spec["scale"])
+        except (TypeError, ValueError) as e:
+            raise ConfigError("measure 'scale' must be a number") from e
+        mu = mu.scaled(scale)
     if spec.get("atoms") and kind != "atoms":
         mu = mu.with_atoms(_parse_atoms(spec["atoms"]))
     return mu

@@ -108,7 +108,8 @@ def layer_strip(pair: NLFSPair, tol: float = 1e-9) -> np.ndarray:
     support; each step checks and zeroes the entries that leave the window.
     """
     res = su2_residual(pair.a, pair.b)
-    if res > 1e-8:
+    # written so that a NaN anywhere in the pair fails each check
+    if not res <= 1e-8:
         raise StrippingError(
             f"input is not an SU(2) pair (residual {res:.3e})", residual=res
         )
@@ -148,7 +149,7 @@ def layer_strip(pair: NLFSPair, tol: float = 1e-9) -> np.ndarray:
         # b keeps the rest's support, a one frequency more than its own
         a_keep = rest[0] - rest[1] - 1
         spill = max(_leave(a, lo, wlo, whi, a_keep, 0), _leave(b, blo, *b_live, *rest))
-        if spill > spill_tol:
+        if not spill <= spill_tol:
             raise StrippingError(
                 f"pair is not an exact finite series (spill {spill:.3e} at step {k})",
                 residual=spill,
@@ -156,7 +157,7 @@ def layer_strip(pair: NLFSPair, tol: float = 1e-9) -> np.ndarray:
         wlo, whi = a_keep, 0
     a[-lo] -= 1
     rem = float(np.max(np.abs(a))) + float(np.max(np.abs(b)))
-    if rem > 1e-7:
+    if not rem <= 1e-7:
         raise StrippingError(
             f"residual pair is not the identity (norm {rem:.3e})", residual=rem
         )

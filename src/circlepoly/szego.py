@@ -211,6 +211,16 @@ class SystemReport:
         return max(self.orthonormality_max, self.det_identity_max, self.monic_norm_max)
 
 
+def orthonormality_residual(sys: OrthoSystem, mu: CircleMeasure, d: int, m: int = 4096) -> float:
+    """max |<phi_j, phitilde_k>_mu - delta_jk| over 0 <= j, k <= d."""
+    ortho = 0.0
+    for j in range(d + 1):
+        for k in range(d + 1):
+            val = pairing(sys.phi[j], sys.phitilde[k], mu, m)
+            ortho = max(ortho, abs(val - (1.0 if j == k else 0.0)))
+    return ortho
+
+
 def verify_system(
     sys: OrthoSystem, mu: CircleMeasure, m: int = 4096, grid: int = 512
 ) -> SystemReport:
@@ -218,11 +228,7 @@ def verify_system(
     monic pairing against the stored norms.  Failures are reported, not
     raised."""
     n_max = sys.size
-    ortho = 0.0
-    for j in range(n_max + 1):
-        for k in range(n_max + 1):
-            val = pairing(sys.phi[j], sys.phitilde[k], mu, m)
-            ortho = max(ortho, abs(val - (1.0 if j == k else 0.0)))
+    ortho = orthonormality_residual(sys, mu, n_max, m)
     nodes = circle_nodes(grid)
     det = 0.0
     for n in range(n_max + 1):

@@ -1,23 +1,13 @@
 import numpy as np
 import pytest
 
-from circlepoly._accel import ladder_eval, ladder_eval_numpy
+from circlepoly._accel import ladder_eval
 from circlepoly.szego import ladder_from_coeffs
 
 
 def _random_F(rng, n, radius=0.8):
     r = radius * np.sqrt(rng.uniform(size=n))
     return r * np.exp(2j * np.pi * rng.uniform(size=n))
-
-
-def test_paths_agree():
-    rng = np.random.default_rng(30)
-    F = _random_F(rng, 50)
-    s = np.exp(2j * np.pi * rng.uniform(size=7))
-    u1, v1 = ladder_eval(F, s)
-    u2, v2 = ladder_eval_numpy(F, s)
-    assert np.max(np.abs(u1 - u2)) < 1e-12
-    assert np.max(np.abs(v1 - v2)) < 1e-12
 
 
 def test_matches_polynomial_ladder():

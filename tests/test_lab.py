@@ -341,6 +341,11 @@ def test_nan_never_certifies(tmp_path, command, cfg):
         ("plancherel", {"n": 0}),
         ("plancherel", {"grid": 0}),
         ("plancherel", {"systems": 0}),
+        ("fejer", {"degrees": []}),
+        ("fejer", {"epsilons": []}),
+        ("fejer", {"epsilons": [0.1, 0.07]}),
+        ("counterexample", {"r_values": []}),
+        ("counterexample", {"growth_r": []}),
     ],
 )
 def test_empty_grid_configs_rejected(tmp_path, command, cfg):
@@ -359,6 +364,13 @@ def test_empty_grid_configs_rejected(tmp_path, command, cfg):
         ("thm5", {"b": [[0.3, 0.0]], "strip_steps": 0}, "thm5_report.json"),
         ("thm5", {"b": [[0.3, 0.0]], "bandwidth": 0}, "thm5_report.json"),
         ("thm5", {"b": [[0.71, 0.0]], "l1_degrees": []}, "thm5_report.json"),
+        ("thm5", {"b": [[0.3, 0.0]], "ortho_degree": -1}, "thm5_report.json"),
+        ("universality", {"measure": {"kind": "uniform", "scale": [1, 0]}}, "universality.csv"),
+        ("universality", {"points": {"count": "abc"}}, "universality.csv"),
+        ("universality", {"degrees": [4, "x"]}, "universality.csv"),
+        ("fejer", {"ratio_window": [2]}, "fejer.csv"),
+        ("fejer", {"degrees": [8]}, "fejer.csv"),
+        ("counterexample", {"n_max": 0}, "counterexample.csv"),
     ],
 )
 def test_nonpositive_sizes_rejected(tmp_path, command, cfg, artifact):

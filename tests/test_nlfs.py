@@ -127,6 +127,15 @@ def test_layer_strip_rejects_non_series():
         layer_strip(fudged)
 
 
+@pytest.mark.parametrize("part,index", [("b", 0), ("b", 1), ("b", 2), ("a", 1)])
+def test_layer_strip_rejects_nan(part, index):
+    pair = forward(np.array([0.3, 0.2, -0.1]))
+    a, b = pair.a.window(-3, 0).copy(), pair.b.window(1, 3).copy()
+    (a if part == "a" else b)[index] = np.nan
+    with pytest.raises(StrippingError):
+        layer_strip(NLFSPair(LaurentPoly(a, -3), LaurentPoly(b, 1), 3))
+
+
 def test_layer_strip_accepts_padded_label():
     # declaring a longer length than the true degree just yields trailing zeros
     pair = forward(np.array([0.4, 0.3]))
