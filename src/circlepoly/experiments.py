@@ -147,6 +147,8 @@ def _coeff_source(cfg, rng, key="coeffs"):
         return _complex_list(spec["explicit"], f"{key}.explicit")
     if isinstance(spec, dict) and "random" in spec:
         rnd = spec["random"]
+        if not isinstance(rnd, dict):
+            raise ConfigError(f"'{key}.random' must be an object")
         count = _int(rnd.get("count", 256), f"{key}.random.count")
         radius = _float(rnd.get("radius", 0.05), f"{key}.random.radius")
         if radius <= 0:

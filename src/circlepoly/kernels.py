@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DomainError
 from .laurent import LaurentPoly
-from .measures import CircleMeasure, l_functional, pairing
+from .measures import CircleMeasure, l_functional
 from .szego import OrthoSystem
 
 CD_DIAGONAL_TOL = 1e-8

@@ -161,24 +161,37 @@ class CircleMeasure:
         return total
 
     def integrate_adaptive(self, f, m: int) -> complex:
-        """Double the grid until successive values differ by < 1e-10."""
-        m = max(int(m), 64)
-        prev = self.integrate(f, m)
-        while m < MAX_QUAD_NODES:
-            m *= 2
-            cur = self.integrate(f, m)
-            if abs(cur - prev) < ADAPTIVE_TOL:
-                return cur
-            prev = cur
-        cur = prev
-        prev = self.integrate(f, m // 2)
-        if abs(cur - prev) < ADAPTIVE_TOL:
-            return cur
-        raise ToleranceError(
-            f"adaptive quadrature not converged at {m} nodes",
-            last=cur,
-            previous=prev,
-        )
+        """Integral of a general integrand f dμ, the grid doubled from
+        max(m, 64) until successive values differ by < ADAPTIVE_TOL."""
+        return _refine(lambda g: self.integrate(f, g), m)
+
+    def moments(self, d: int, m: int = 256) -> np.ndarray:
+        """Moments c_k = ∫ z^k dμ for k = -d..d; c_k sits at index d + k.
+
+        A sampled density gives the exact moments of its trigonometric
+        interpolant from one inverse FFT of the M samples when 2d < M.  Any
+        other density is transformed on a grid of max(m, 64) nodes, doubled
+        until it exceeds 2d and then until successive moment vectors agree
+        within ADAPTIVE_TOL.  Atoms are summed exactly.
+        """
+        if d < 0:
+            raise DomainError("moment order must be nonnegative")
+        # an inverse FFT holds c_k at index k mod g: the negative entries of
+        # ks read c_{-d..-1} off the end of the array
+        ks = np.arange(-d, d + 1)
+        samples = getattr(self, "samples", None)
+        if self.density is None:
+            c = np.zeros(2 * d + 1, dtype=np.complex128)
+        elif samples is not None and 2 * d < len(samples):
+            c = np.fft.ifft(samples)[ks]
+        else:
+            g = max(int(m), 64)
+            while g <= 2 * d:
+                g *= 2
+            c = _refine(lambda g: np.fft.ifft(self.density_on_grid(g))[ks], g)
+        for p, wt in self.atoms:
+            c += wt * p ** ks
+        return c
 
     def check_normalization(self, m: int = 4096) -> float:
         """Return |c_0 - 1|; raise if it exceeds normalization_tol."""
@@ -186,6 +199,27 @@ class CircleMeasure:
         if err > self.normalization_tol:
             raise DomainError(f"measure not normalized: |c_0 - 1| = {err:.3e}")
         return err
+
+
+def _refine(value, m: int):
+    """value(g) at g = max(m, 64), 2g, 4g, ... until two successive values
+    (numbers or arrays, compared entrywise) differ by < ADAPTIVE_TOL.
+
+    Raises ToleranceError, carrying the last two values, once g reaches
+    MAX_QUAD_NODES without agreement; a NaN never agrees.
+    """
+    g = max(int(m), 64)
+    prev = value(g)
+    while True:
+        g *= 2
+        cur = value(g)
+        if np.max(np.abs(cur - prev)) < ADAPTIVE_TOL:
+            return cur
+        if g >= MAX_QUAD_NODES:
+            raise ToleranceError(
+                f"adaptive quadrature not converged at {g} nodes", last=cur, previous=prev
+            )
+        prev = cur
 
 
 def _resample(samples: np.ndarray, m: int) -> np.ndarray:
@@ -200,16 +234,18 @@ def _resample(samples: np.ndarray, m: int) -> np.ndarray:
 
 
 def moment(mu: CircleMeasure, j: int, m: int = 256) -> complex:
-    """j-th moment c_j = integral of z^j dμ, adaptively refined."""
-    return mu.integrate_adaptive(lambda z: z ** j, m)
+    """j-th moment c_j = integral of z^j dμ, read from ``mu.moments``."""
+    return complex(mu.moments(abs(j), m)[abs(j) + j])
 
 
 def pairing(f: LaurentPoly, g: LaurentPoly, mu: CircleMeasure, m: int = 256) -> complex:
-    """Sesquilinear pairing: integral of f * star(g) dμ."""
+    """Sesquilinear pairing: integral of h = f * star(g) dμ, i.e. Σ_k h_k c_k."""
     h = f * g.star()
     if h.is_zero():
         return 0j
-    return mu.integrate_adaptive(h, m)
+    d = max(-h.lo, h.hi)
+    c = mu.moments(d, m)
+    return complex(np.dot(h.coeffs, c[d + h.lo : d + h.hi + 1]))
 
 
 def l_functional(mu: CircleMeasure, s: complex, n: int, m: int = 65536) -> float:
@@ -277,7 +313,11 @@ def measure_from_json(spec: dict) -> CircleMeasure:
     elif kind == "mu_r":
         if "r" not in spec:
             raise ConfigError("mu_r measure needs an 'r' field")
-        mu = CircleMeasure.mu_r(float(spec["r"]))
+        try:
+            r = float(spec["r"])
+        except (TypeError, ValueError) as e:
+            raise ConfigError("mu_r 'r' must be a number") from e
+        mu = CircleMeasure.mu_r(r)
     elif kind == "samples":
         try:
             values = [complex(v[0], v[1]) for v in spec["values"]]

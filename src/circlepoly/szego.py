@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, MalformedLadderError, NearSingularMomentError
 from .laurent import LaurentPoly, coeffs_from_json, coeffs_to_json
-from .measures import CircleMeasure, circle_nodes, moment, pairing
+from .measures import CircleMeasure, circle_nodes
 from .nlfs import LOG_FLOOR
 
 T_MINUS = "Tminus"
@@ -155,20 +155,21 @@ def monic_from_moments(mu: CircleMeasure, n: int, m: int = 4096):
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    c = {j: moment(mu, j, m) for j in range(-n, n + 1)}
+    c = mu.moments(n, m)
     deltas = _toeplitz_dets(c, n)
     phi = _heine(c, deltas, n)
-    cbar = {j: np.conj(c[-j]) for j in range(-n, n + 1)}
+    cbar = np.conj(c[::-1])  # moments of the conjugate measure
     deltas_bar = _toeplitz_dets(cbar, n)
     phitilde = _heine(cbar, deltas_bar, n)
     return phi, phitilde, deltas
 
 
 def _moment_matrix(c, k):
-    """(k+1)x(k+1) Toeplitz matrix with entries c_{i-j}."""
-    return np.array(
-        [[c[i - j] for j in range(k + 1)] for i in range(k + 1)], dtype=np.complex128
-    )
+    """(k+1)x(k+1) Toeplitz matrix with entries c_{i-j}, from the moments
+    c_{-d..d} (d >= k) stored as ``CircleMeasure.moments`` returns them."""
+    d = len(c) // 2
+    i = np.arange(k + 1)
+    return c[d + i[:, None] - i[None, :]]
 
 
 def _toeplitz_dets(c, n):
@@ -208,17 +209,30 @@ class SystemReport:
     monic_norm_max: float
 
     def max_residual(self) -> float:
-        return max(self.orthonormality_max, self.det_identity_max, self.monic_norm_max)
+        """The largest residual, NaN if any residual is NaN."""
+        return float(np.max([self.orthonormality_max, self.det_identity_max, self.monic_norm_max]))
+
+
+def _gram(left, right, T) -> np.ndarray:
+    """Pairings <left[j], right[k]>_mu = A T B^H of polynomials of degree
+    at most d, from their coefficient rows A, B and the (d+1)x(d+1)
+    moment matrix T."""
+    d = len(T) - 1
+    A = np.array([p.window(0, d) for p in left])
+    B = np.array([p.window(0, d) for p in right])
+    return A @ T @ B.conj().T
+
+
+def _orthonormality(sys: OrthoSystem, T) -> float:
+    d = len(T) - 1
+    gram = _gram(sys.phi[: d + 1], sys.phitilde[: d + 1], T)
+    return float(np.max(np.abs(gram - np.eye(d + 1))))
 
 
 def orthonormality_residual(sys: OrthoSystem, mu: CircleMeasure, d: int, m: int = 4096) -> float:
-    """max |<phi_j, phitilde_k>_mu - delta_jk| over 0 <= j, k <= d."""
-    ortho = 0.0
-    for j in range(d + 1):
-        for k in range(d + 1):
-            val = pairing(sys.phi[j], sys.phitilde[k], mu, m)
-            ortho = max(ortho, abs(val - (1.0 if j == k else 0.0)))
-    return ortho
+    """max |<phi_j, phitilde_k>_mu - delta_jk| over 0 <= j, k <= d, read as
+    max |A T B^H - I| from one moment vector of mu."""
+    return _orthonormality(sys, _moment_matrix(mu.moments(d, m), d))
 
 
 def verify_system(
@@ -228,16 +242,16 @@ def verify_system(
     monic pairing against the stored norms.  Failures are reported, not
     raised."""
     n_max = sys.size
-    ortho = orthonormality_residual(sys, mu, n_max, m)
+    T = _moment_matrix(mu.moments(n_max, m), n_max)
+    ortho = _orthonormality(sys, T)
     nodes = circle_nodes(grid)
-    det = 0.0
-    for n in range(n_max + 1):
-        vals = np.abs(sys.phi[n](nodes)) ** 2 + np.abs(sys.phitilde[n](nodes)) ** 2
-        det = max(det, float(np.max(np.abs(vals - 2.0))))
-    norm = 0.0
-    for n in range(n_max + 1):
-        val = pairing(sys.monic(n), sys.monic_tilde(n), mu, m)
-        norm = max(norm, abs(val - sys.norms[n]))
+    det = float(np.max([
+        np.max(np.abs(np.abs(p(nodes)) ** 2 + np.abs(q(nodes)) ** 2 - 2.0))
+        for p, q in zip(sys.phi, sys.phitilde)
+    ]))
+    levels = range(n_max + 1)
+    monic = np.diag(_gram([sys.monic(n) for n in levels], [sys.monic_tilde(n) for n in levels], T))
+    norm = float(np.max(np.abs(monic - sys.norms)))
     return SystemReport(ortho, det, norm)
 
 

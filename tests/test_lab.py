@@ -287,7 +287,9 @@ def test_csv_bytes_pinned(tmp_path, command, cfg, digest):
 
 # Digests of the files these configs wrote at seed 0 when forward,
 # layer_strip and the ladder recursion stepped through LaurentPoly values;
-# the array-native recursions must reproduce them byte for byte.
+# the array-native recursions must reproduce them byte for byte.  The thm5
+# report's orthonormality_max (7.725112940632058e-15) is the rounding of the
+# Gram matrix over the moments, not of one quadrature per pairing.
 PINNED_OUTPUT_SHA256 = [
     (
         "roundtrip",
@@ -305,7 +307,7 @@ PINNED_OUTPUT_SHA256 = [
         "thm5",
         {"b": [[0.3, 0.0], [0.0, 0.0], [0.2, 0.0]], "l1_degrees": [1, 4, 16]},
         "thm5_report.json",
-        "6acc7d36bfb2af9de31d0b16fd612b59e88cab69e79a68a40e178496052ae954",
+        "c2eceb9b5f24d520d607447ac5dce44d0cd2343156f751025bb9ae65840a01e1",
     ),
 ]
 
@@ -371,6 +373,8 @@ def test_empty_grid_configs_rejected(tmp_path, command, cfg):
         ("fejer", {"ratio_window": [2]}, "fejer.csv"),
         ("fejer", {"degrees": [8]}, "fejer.csv"),
         ("counterexample", {"n_max": 0}, "counterexample.csv"),
+        ("lacunary", {"coeffs": {"random": 5}}, "lacunary.csv"),
+        ("universality", {"measure": {"kind": "mu_r", "r": "x"}}, "universality.csv"),
     ],
 )
 def test_nonpositive_sizes_rejected(tmp_path, command, cfg, artifact):

@@ -12,7 +12,7 @@ from circlepoly import (
     moment,
     pairing,
 )
-from circlepoly.errors import ConfigError, DomainError
+from circlepoly.errors import ConfigError, DomainError, ToleranceError
 
 
 def test_circle_nodes_are_unimodular_and_exact():
@@ -109,6 +109,82 @@ def test_adaptive_matches_fixed_for_smooth_density():
     mu = CircleMeasure.mu_r(0.3)
     f = lambda z: z ** 2 / (1.5 - z.real)
     assert abs(mu.integrate_adaptive(f, 64) - mu.integrate(f, 2 ** 16)) < 1e-9
+
+
+def _adaptive_moments(mu, d, m=256):
+    """c_{-d..d} with one adaptive quadrature per moment, as pairings used to run."""
+    return np.array([mu.integrate_adaptive(lambda z, k=k: z ** k, m) for k in range(-d, d + 1)])
+
+
+def _smooth_samples(m):
+    zs = circle_nodes(m)
+    return 1.0 + 0.4 * zs ** 3 + 0.2 * np.conj(zs) + 0.1j * zs ** 5
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        CircleMeasure.mu_r(0.5),
+        CircleMeasure.from_samples(_smooth_samples(64)),
+        CircleMeasure.from_samples(_smooth_samples(64)).scaled(0.7).with_atoms([(1j, 0.2), (-1.0, 0.1)]),
+        CircleMeasure.from_atoms([(1.0, 0.5), (np.exp(0.7j), 0.3 - 0.1j), (-1j, 0.2 + 0.1j)]),
+    ],
+    ids=["mu_r", "samples", "samples+atoms", "atoms"],
+)
+def test_moments_match_adaptive_quadrature(mu):
+    d = 9
+    c = mu.moments(d)
+    assert c.shape == (2 * d + 1,)
+    assert np.max(np.abs(c - _adaptive_moments(mu, d))) < 1e-13
+    for j in (-d, -1, 0, 4, d):
+        assert moment(mu, j) == c[d + j]
+
+
+def test_sampled_moments_past_half_the_samples_use_the_grid():
+    # 16 samples of 1 + 0.25 (-1)^k: the interpolant is 1 + 0.25 z^-8, so
+    # c_8 = 0.25 and c_-8 = 0, which the 16-point inverse FFT would alias
+    zs = circle_nodes(16)
+    mu = CircleMeasure.from_samples(1.0 + 0.25 * zs ** 8)
+    c = mu.moments(8)
+    exact = np.zeros(17, dtype=complex)
+    exact[8] = 1.0
+    exact[16] = 0.25
+    assert np.max(np.abs(c - exact)) < 1e-15
+    assert np.max(np.abs(c - _adaptive_moments(mu, 8))) < 1e-15
+    assert abs(np.fft.ifft(mu.samples)[-8] - 0.25) < 1e-15
+
+
+def test_moments_domain_and_nonconvergence():
+    with pytest.raises(DomainError):
+        CircleMeasure.uniform().moments(-1)
+    nan = CircleMeasure(lambda z: np.full(z.shape, np.nan))
+    with pytest.raises(ToleranceError) as exc:
+        nan.moments(2)
+    assert exc.value.last.shape == exc.value.previous.shape == (5,)
+
+
+@pytest.mark.parametrize(
+    "f,last,previous",
+    [
+        (lambda z: np.full(z.shape, np.nan), complex(np.nan, np.nan), complex(np.nan, np.nan)),
+        # a value that grows with the grid never settles
+        (lambda z: np.full(z.shape, float(z.size)), 2.0 ** 20, 2.0 ** 19),
+    ],
+    ids=["nan", "grid-size"],
+)
+def test_adaptive_nonconvergence_carries_last_two_values(f, last, previous):
+    with pytest.raises(ToleranceError) as exc:
+        CircleMeasure.uniform().integrate_adaptive(f, 64)
+    np.testing.assert_equal([exc.value.last, exc.value.previous], [last, previous])
+
+
+def test_pairing_reads_moments():
+    mu = CircleMeasure.mu_r(0.4).scaled(0.8).with_atoms([(1j, 0.15), (-1.0, 0.05)])
+    f = LaurentPoly([0.3, -1.0, 0.5j, 2.0], -1)
+    g = LaurentPoly([1.0, 0.25 - 0.5j], 2)
+    h = f * g.star()
+    assert abs(pairing(f, g, mu) - mu.integrate_adaptive(h, 256)) < 1e-13
+    assert pairing(f, LaurentPoly.zero(), mu) == 0j
 
 
 def test_check_normalization():

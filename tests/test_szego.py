@@ -3,14 +3,21 @@ import pytest
 
 from circlepoly import (
     CircleMeasure,
+    LaurentPoly,
     circle_nodes,
     extract_coeffs,
+    forward,
+    layer_strip_truncated,
     ladder_from_coeffs,
+    measure_from_pair,
     monic_from_moments,
+    outer_from_modulus,
     plancherel_check,
     plancherel_table,
     verify_system,
+    w_from_ab,
 )
+from circlepoly.szego import SystemReport, _gram, _moment_matrix, orthonormality_residual
 from circlepoly.errors import (
     DomainError,
     MalformedLadderError,
@@ -138,6 +145,64 @@ def test_verify_system_mu_r():
     sys = ladder_from_coeffs(np.array([0.5, 0, 0]))
     report = verify_system(sys, CircleMeasure.mu_r(0.5))
     assert report.max_residual() < 1e-8
+
+
+def _pipeline_measure():
+    """The thm5 measure of acceptance criterion 06: b = 0.3z + 0.2z^3 through
+    the outer function and truncated layer stripping."""
+    b = LaurentPoly([0.3, 0, 0.2], lo=1)
+    logmod = 0.5 * np.log1p(-np.abs(b(circle_nodes(8192))) ** 2)
+    astar, _, _ = outer_from_modulus(logmod, 256)
+    a = astar.star()
+    F, _ = layer_strip_truncated(a, b, 24, 256)
+    return F, CircleMeasure.from_samples(w_from_ab(a, b, 8192))
+
+
+@pytest.mark.parametrize("which", ["mu_r", "pipeline"])
+def test_gram_matches_pairing_loop(which):
+    d = 20
+    if which == "mu_r":
+        F, mu = np.array([0.5]), CircleMeasure.mu_r(0.5)
+    else:
+        F, mu = _pipeline_measure()
+    sys = ladder_from_coeffs(np.concatenate([F, np.zeros(d)])[:d])
+    gram = _gram(sys.phi, sys.phitilde, _moment_matrix(mu.moments(d, 4096), d))
+    # the reference: one adaptive quadrature per pair
+    ref = np.array(
+        [
+            [mu.integrate_adaptive(sys.phi[j] * sys.phitilde[k].star(), 4096) for k in range(d + 1)]
+            for j in range(d + 1)
+        ]
+    )
+    assert np.max(np.abs(gram - ref)) < 1e-13
+    assert orthonormality_residual(sys, mu, d) == np.max(np.abs(gram - np.eye(d + 1)))
+    assert orthonormality_residual(sys, mu, d) < 1e-12
+
+
+def test_verify_system_at_n64():
+    rng = np.random.default_rng(64)
+    sys = ladder_from_coeffs(_random_F(rng, 64, 0.02))
+    pair = forward(sys.F)
+    report = verify_system(sys, measure_from_pair(pair.a, pair.b))
+    assert report.max_residual() <= 1e-8
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_max_residual_fails_closed_on_nan(at):
+    residuals = [1e-15, 0.0, 2e-15]
+    residuals[at] = np.nan
+    assert np.isnan(SystemReport(*residuals).max_residual())
+
+
+def test_orthonormality_propagates_nan():
+    sys = ladder_from_coeffs(np.array([0.5, 0.0]))
+    samples = np.ones(64, dtype=complex)
+    samples[5] = np.nan
+    mu = CircleMeasure.from_samples(samples)
+    assert np.isnan(orthonormality_residual(sys, mu, 2))
+    assert np.isnan(verify_system(sys, mu).max_residual())
+    bad = ladder_from_coeffs(np.array([0.5, np.nan]))
+    assert np.isnan(orthonormality_residual(bad, CircleMeasure.mu_r(0.5), 2))
 
 
 def test_system_json_roundtrip():
