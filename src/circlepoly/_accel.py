@@ -20,7 +20,8 @@ def ladder_eval(F, s):
 
     Parameters
     ----------
-    F : complex array, recursion coefficients F_1..F_N
+    F : complex array, recursion coefficients F_1..F_N; trailing zeros
+        (a ladder run past its last coefficient) cost one multiply per row
     s : complex array of points with |s| = 1
 
     Returns
@@ -30,19 +31,27 @@ def ladder_eval(F, s):
     """
     F = np.ascontiguousarray(F, dtype=np.complex128)
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    if np.any(np.abs(np.abs(s) - 1.0) > 1e-9):
+    # written so that a NaN point fails the check
+    if not np.all(np.abs(np.abs(s) - 1.0) <= 1e-9):
         raise ValueError("ladder_eval requires points on the unit circle")
     n = len(F)
     p = len(s)
+    nonzero = np.flatnonzero(F)
+    top = int(nonzero[-1]) + 1 if len(nonzero) else 0
     u = np.empty((n + 1, p), dtype=np.complex128)
     v = np.empty((n + 1, p), dtype=np.complex128)
     u[0] = 1.0
     v[0] = 1.0
     spow = np.ones(p, dtype=np.complex128)  # s^k
-    for k in range(n):
+    for k in range(top):
         fc = np.conj(F[k])
         rho = np.sqrt(1.0 + abs(F[k]) ** 2)
         u[k + 1] = (s * u[k] + spow * fc * np.conj(v[k])) / rho
         v[k + 1] = (s * v[k] - spow * fc * np.conj(u[k])) / rho
         spow = spow * s
+    # past the last nonzero F_k a step is multiplication by s (rho = 1);
+    # out is passed by position, which numpy parses faster than a keyword
+    for k in range(top, n):
+        np.multiply(s, u[k], u[k + 1])
+        np.multiply(s, v[k], v[k + 1])
     return u, v

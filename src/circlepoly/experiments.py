@@ -129,7 +129,7 @@ def _sample_points(cfg, rng) -> np.ndarray:
     spec = cfg.get("points", {"count": 64})
     if isinstance(spec, dict) and "explicit" in spec:
         pts = _complex_list(spec["explicit"], "points.explicit")
-        if np.any(np.abs(np.abs(pts) - 1.0) > 1e-9):
+        if not np.all(np.abs(np.abs(pts) - 1.0) <= 1e-9):
             raise ConfigError("explicit points must lie on the unit circle")
         return pts
     if isinstance(spec, dict) and "count" in spec:
@@ -333,7 +333,7 @@ def run_fejer(cfg, outdir, seed: int) -> int:
         raise ConfigError("the F-shape must be nonzero")
     shape = shape / norm1
     s = complex(*(_float(x, "point") for x in _list(cfg["point"], "point", 2)))
-    if abs(abs(s) - 1.0) > 1e-9:
+    if not abs(abs(s) - 1.0) <= 1e-9:
         raise ConfigError("evaluation point must lie on the unit circle")
     epsilons = [_float(e, "epsilons") for e in _list(cfg["epsilons"], "epsilons")]
     # the scaling check applies to halving steps only; a NaN step is kept, and fails

@@ -115,7 +115,7 @@ def universality_gap(
     preconditions."""
     z = s if z is None else z
     lam = s if lam is None else lam
-    if abs(abs(s) - 1.0) > 1e-9:
+    if not abs(abs(s) - 1.0) <= 1e-9:
         raise DomainError("s must lie on the unit circle")
     if n < 2 * C:
         raise DomainError(f"hypothesis n >= 2C violated: n={n}, C={C}")

@@ -9,7 +9,9 @@ onto the grid.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 
 import numpy as np
 
@@ -43,15 +45,20 @@ class CircleMeasure:
         absolutely continuous part.
     atoms : iterable of (point, weight) with |point| = 1.
     kind : short descriptive tag, used for serialization.
+    samples : the M uniform grid values the density interpolates, or None
+        for a closed-form density; read by FFT on the grid.
     """
 
-    def __init__(self, density=None, atoms=(), kind="custom", normalization_tol=1e-6):
+    def __init__(
+        self, density=None, atoms=(), kind="custom", normalization_tol=1e-6, samples=None
+    ):
         self.density = density
         self.atoms = tuple((complex(p), complex(w)) for p, w in atoms)
         self.kind = kind
+        self.samples = samples
         self.normalization_tol = normalization_tol
         for p, _ in self.atoms:
-            if abs(abs(p) - 1.0) > 1e-9:
+            if not abs(abs(p) - 1.0) <= 1e-9:
                 raise DomainError(f"atom at {p} is not on the unit circle")
 
     # -- constructors ------------------------------------------------------
@@ -96,16 +103,16 @@ class CircleMeasure:
                 out += c * z ** k
             return out
 
-        meas = CircleMeasure(w, kind=kind)
-        meas.samples = values
-        return meas
+        return CircleMeasure(w, kind=kind, samples=values)
 
     @staticmethod
     def from_atoms(atoms) -> "CircleMeasure":
         return CircleMeasure(None, atoms=atoms, kind="atoms")
 
     def with_atoms(self, atoms) -> "CircleMeasure":
-        return CircleMeasure(self.density, atoms=atoms, kind=self.kind + "+atoms")
+        return CircleMeasure(
+            self.density, atoms=atoms, kind=self.kind + "+atoms", samples=self.samples
+        )
 
     def scaled(self, c) -> "CircleMeasure":
         density = None
@@ -113,7 +120,10 @@ class CircleMeasure:
             base = self.density
             density = lambda z: c * base(z)
         return CircleMeasure(
-            density, [(p, c * w) for p, w in self.atoms], kind=self.kind
+            density,
+            [(p, c * w) for p, w in self.atoms],
+            kind=self.kind,
+            samples=None if self.samples is None else c * self.samples,
         )
 
     def conjugate(self) -> "CircleMeasure":
@@ -126,6 +136,7 @@ class CircleMeasure:
             density,
             [(p, np.conj(w)) for p, w in self.atoms],
             kind=self.kind + ":conj",
+            samples=None if self.samples is None else np.conj(self.samples),
         )
 
     # -- density access ----------------------------------------------------
@@ -133,7 +144,7 @@ class CircleMeasure:
     def density_on_grid(self, m: int) -> np.ndarray:
         if self.density is None:
             return np.zeros(m, dtype=np.complex128)
-        samples = getattr(self, "samples", None)
+        samples = self.samples
         if samples is not None:
             n = len(samples)
             if m >= n and m % n == 0:
@@ -179,7 +190,7 @@ class CircleMeasure:
         # an inverse FFT holds c_k at index k mod g: the negative entries of
         # ks read c_{-d..-1} off the end of the array
         ks = np.arange(-d, d + 1)
-        samples = getattr(self, "samples", None)
+        samples = self.samples
         if self.density is None:
             c = np.zeros(2 * d + 1, dtype=np.complex128)
         elif samples is not None and 2 * d < len(samples):
@@ -263,27 +274,56 @@ def l_functional(mu: CircleMeasure, s: complex, n: int, m: int = 65536) -> float
 def l_functional_table(mu: CircleMeasure, points, degrees, m: int = 65536) -> np.ndarray:
     """``l_functional`` at every (point, degree); shape (len(points), len(degrees)).
 
-    The density is sampled on the grid once, |y - s|^2 and |w(y) - w(s)|
-    once per point, so each degree costs one kernel and one weighted sum.
+    The density is sampled on the grid once, and |y - s|^2 and
+    |w(y) - w(s)| once per point.  The kernel min{n+1, 1/((n+1)|y-s|^2)} is
+    n+1 exactly on the disk (n+1)^2 |y-s|^2 <= 1, and these disks shrink as
+    n grows.  Outside that disk the kernel is 1/((n+1)|y-s|^2), so the sum
+    of |w(y) - w(s)| / |y-s|^2 over the far nodes is taken once per point,
+    ring by ring, and each degree reads only the nodes in a window around s.
+    Which rings and which window an entry reads depends on its own n alone,
+    so every entry equals the one-entry ``l_functional`` bit for bit.
     """
     points = [complex(s) for s in points]
     degrees = list(degrees)
-    if any(abs(abs(s) - 1.0) > 1e-9 for s in points):
+    # written so that a NaN point fails the check
+    if not all(abs(abs(s) - 1.0) <= 1e-9 for s in points):
         raise DomainError("s must lie on the unit circle")
     if any(n < 0 for n in degrees):
         raise DomainError("n must be nonnegative")
     out = np.zeros((len(points), len(degrees)))
-    if mu.density is not None:
-        nodes = circle_nodes(m)
-        wvals = mu.density_on_grid(m)
+    if mu.density is not None and degrees:
+        # doubled, so that the m nodes centred on any node are one slice
+        nodes = np.concatenate([circle_nodes(m)] * 2)
+        wvals = np.concatenate([mu.density_on_grid(m)] * 2)
+        c = m // 2
+        # degree n reads the window of level floor(log2(n+1)): c +- half[j]
+        # holds every node with |y-s|^2 < 2/4^j, s being within half a node
+        # spacing of node c.  Outside it (n+1)^2 |y-s|^2 >= 2, so no degree
+        # of that level saturates there
+        levels = [int(n + 1).bit_length() - 1 for n in degrees]
+        half = [
+            min(c, math.ceil(m / math.pi * math.asin(2.0 ** (-j - 0.5))) + 1)
+            for j in range(max(levels) + 1)
+        ]
         for i, s in enumerate(points):
-            d2 = np.abs(nodes - s) ** 2
-            dev = np.abs(wvals - mu.density_at(s))
-            # a node coinciding with s divides by zero; the min caps it at n+1
-            with np.errstate(divide="ignore"):
-                for k, n in enumerate(degrees):
-                    kern = np.minimum(n + 1.0, 1.0 / ((n + 1.0) * d2))
-                    out[i, k] = float(np.sum(kern * dev) / m)
+            start = (round(cmath.phase(s) * m / (2 * math.pi)) - c) % m
+            d2 = np.abs(nodes[start : start + m] - s) ** 2
+            dev = np.abs(wvals[start : start + m] - mu.density_at(s))
+            # a node coinciding with s divides by zero; it is in every window
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = dev / d2
+            # far[j]: the sum of dev/d2 outside level j's window, ring by
+            # ring from the outside in
+            far, acc = [], 0.0
+            for outer, inner in zip([c] + half, half):
+                acc += np.sum(ratio[c - outer : c - inner])
+                acc += np.sum(ratio[c + inner + 1 : c + outer + 1])
+                far.append(acc)
+            for k, (n, j) in enumerate(zip(degrees, levels)):
+                window = slice(c - half[j], c + half[j] + 1)
+                sat = d2[window] * (n + 1.0) ** 2 <= 1.0
+                tail = (np.sum(ratio[window][~sat]) + far[j]) / (n + 1.0)
+                out[i, k] = float(((n + 1.0) * np.sum(dev[window][sat]) + tail) / m)
     for i, s in enumerate(points):
         for p, wt in mu.atoms:
             d2 = abs(p - s) ** 2

@@ -326,7 +326,7 @@ def convergence_functional(pair: NLFSPair, s: complex) -> complex:
 
     Equals (star(phi_n) phitilde_n)^2(s) by the polynomial representation
     of the pair."""
-    if abs(abs(s) - 1.0) > 1e-9:
+    if not abs(abs(s) - 1.0) <= 1e-9:
         raise MalformedPairError("s must lie on the unit circle")
     val = ((pair.a.star() + pair.b) * (pair.a - pair.b.star()))(complex(s))
     return val ** 2

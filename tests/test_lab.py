@@ -9,6 +9,8 @@ from circlepoly import __version__
 from circlepoly.cli import main
 from circlepoly.experiments import config_hash, read_csv, write_csv
 
+NAN = float("nan")
+
 
 def _run(tmp_path, command, cfg=None, seed=0, out=None):
     out = out or str(tmp_path / "out")
@@ -262,12 +264,14 @@ def test_determinism_byte_identical(tmp_path):
 
 # Digests of the CSVs these configs wrote at seed 0 when every grid, every
 # l_functional entry and every Plancherel pair was computed on its own; the
-# shared grids and fused reductions must reproduce them byte for byte.
+# shared grids and fused reductions must reproduce them byte for byte.  The
+# universality digest is of the far-field L sum (the L and bound columns
+# moved by rounding, at most 3.3e-16 relative; gap is unchanged).
 PINNED_CSV_SHA256 = [
     (
         "universality",
         {"degrees": [8, 16, 32], "points": {"count": 4}, "quadrature_m": 4096},
-        "9cbc91bcfbdf1f895468824863dac4aa41181c3caff6b5898ac0b228dd43fbdc",
+        "0da1f5d37fc1a06ff1eca122f9dea4da8adda808611485be4e4a86f88068390a",
     ),
     (
         "plancherel",
@@ -283,6 +287,13 @@ def test_csv_bytes_pinned(tmp_path, command, cfg, digest):
     assert code == 0
     with open(os.path.join(out, f"{command}.csv"), "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+
+LACUNARY_PIN_CFG = {
+    "coeffs": {"random": {"count": 16, "radius": 0.05}},
+    "degrees": {"base": 2, "count": 6, "start": 4},
+    "points": {"count": 8},
+}
 
 
 # Digests of the files these configs wrote at seed 0 when forward,
@@ -309,11 +320,34 @@ PINNED_OUTPUT_SHA256 = [
         "thm5_report.json",
         "c2eceb9b5f24d520d607447ac5dce44d0cd2343156f751025bb9ae65840a01e1",
     ),
+    # taken when ladder_eval ran the full SU(2) step at every degree: 16
+    # coefficients run to degree 128, and the 32-entry fejer shape to 64, so
+    # both ladders step past their last nonzero coefficient
+    (
+        "lacunary",
+        LACUNARY_PIN_CFG,
+        "lacunary.csv",
+        "96562749b1bcbfe5f775dd24e62ee1f9e28378a093297cf677b434fea1a3ed06",
+    ),
+    (
+        "lacunary",
+        LACUNARY_PIN_CFG,
+        "lacunary_summary.csv",
+        "f2bd1db9eb26a6cf6585f22ac62d7b31223ae423110b8c960afe5a7fdc7f77f1",
+    ),
+    (
+        "fejer",
+        {"degrees": [8, 16, 32, 64]},
+        "fejer.csv",
+        "06d4f85191d23931cbf34f90729055e5967e2a10f94729d226b48d20e8356c5e",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "command,cfg,fname,digest", PINNED_OUTPUT_SHA256, ids=["roundtrip", "counterexample", "thm5"]
+    "command,cfg,fname,digest",
+    PINNED_OUTPUT_SHA256,
+    ids=["roundtrip", "counterexample", "thm5", "lacunary", "lacunary_summary", "fejer"],
 )
 def test_output_bytes_pinned(tmp_path, command, cfg, fname, digest):
     code, out = _run(tmp_path, command, cfg)
@@ -375,12 +409,46 @@ def test_empty_grid_configs_rejected(tmp_path, command, cfg):
         ("counterexample", {"n_max": 0}, "counterexample.csv"),
         ("lacunary", {"coeffs": {"random": 5}}, "lacunary.csv"),
         ("universality", {"measure": {"kind": "mu_r", "r": "x"}}, "universality.csv"),
+        # NaN passes |abs(s) - 1| > tol, so every on-circle check is written the other way
+        ("universality", {"points": {"explicit": [[NAN, 0.0], [1.0, 0.0]]}}, "universality.csv"),
+        ("fejer", {"point": [NAN, 0.0]}, "fejer.csv"),
+        (
+            "universality",
+            {
+                "measure": {
+                    "kind": "uniform",
+                    "scale": 0.5,
+                    "atoms": [{"point": [NAN, 0.0], "weight": [0.5, 0.0]}],
+                },
+                "quadrature_m": 1024,
+            },
+            "universality.csv",
+        ),
     ],
 )
 def test_nonpositive_sizes_rejected(tmp_path, command, cfg, artifact):
     code, out = _run(tmp_path, command, cfg)
     assert code == 2
     assert not os.path.exists(os.path.join(out, artifact))
+
+
+def test_nan_density_gives_nan_l(tmp_path):
+    values = [[1.0, 0.0]] * 7 + [[NAN, 0.0]]
+    code, out = _run(
+        tmp_path,
+        "universality",
+        {
+            "measure": {"kind": "samples", "values": values},
+            "coeffs": {"explicit": [[0.0, 0.0]]},
+            "degrees": [8, 16],
+            "points": {"count": 2},
+            "quadrature_m": 1024,
+        },
+    )
+    assert code == 3
+    columns, rows = read_csv(os.path.join(out, "universality.csv"))
+    assert len(rows) == 4
+    assert all(np.isnan(row[columns.index("L")]) for row in rows)
 
 
 def test_seed_changes_random_points(tmp_path):

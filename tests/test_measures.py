@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,23 @@ def test_sampled_moments_past_half_the_samples_use_the_grid():
     assert abs(np.fft.ifft(mu.samples)[-8] - 0.25) < 1e-15
 
 
+def test_sampled_measure_keeps_its_samples():
+    mu = CircleMeasure.from_samples(_smooth_samples(64))
+    c = mu.moments(8)
+    ks = np.arange(-8, 9)
+    scale = 0.7 - 0.2j
+    scaled = mu.scaled(scale)
+    conj = mu.conjugate()
+    mixed = mu.with_atoms([(1j, 0.25)])
+    assert np.array_equal(scaled.samples, scale * mu.samples)
+    assert np.array_equal(conj.samples, np.conj(mu.samples))
+    assert mixed.samples is mu.samples
+    assert np.max(np.abs(scaled.moments(8) - scale * c)) <= 1e-15
+    assert np.max(np.abs(conj.moments(8) - np.conj(c[::-1]))) <= 1e-15
+    assert np.max(np.abs(mixed.moments(8) - (c + 0.25 * 1j ** ks))) <= 1e-15
+    assert CircleMeasure.mu_r(0.5).scaled(2.0).conjugate().samples is None
+
+
 def test_moments_domain_and_nonconvergence():
     with pytest.raises(DomainError):
         CircleMeasure.uniform().moments(-1)
@@ -232,16 +251,18 @@ def test_l_functional_domain():
         l_functional(mu, 1.0, -1)
     with pytest.raises(DomainError):
         l_functional_table(mu, [1.0, 0.5j], [4])
+    with pytest.raises(DomainError):
+        l_functional_table(CircleMeasure.mu_r(0.5), [np.nan], [4], 64)
 
 
-def _l_functional_one_degree(mu, s, n, m):
-    """The one-(point, degree) formula, evaluated from scratch."""
+def _l_functional_exact_sum(mu, s, n, m):
+    """The one-(point, degree) formula from scratch, its grid sum exactly rounded."""
     ws = mu.density_at(s)
     total = 0.0
     if mu.density is not None:
         with np.errstate(divide="ignore"):
             kern = np.minimum(n + 1.0, 1.0 / ((n + 1.0) * np.abs(circle_nodes(m) - s) ** 2))
-        total += float(np.sum(kern * np.abs(mu.density_on_grid(m) - ws)) / m)
+        total += math.fsum(kern * np.abs(mu.density_on_grid(m) - ws)) / m
     for p, wt in mu.atoms:
         d2 = abs(p - s) ** 2
         total += (n + 1.0 if d2 == 0 else min(n + 1.0, 1.0 / ((n + 1.0) * d2))) * abs(wt)
@@ -259,17 +280,33 @@ def _l_functional_one_degree(mu, s, n, m):
     ids=["density+atoms", "samples"],
 )
 def test_l_functional_table_matches_one_degree_formula(mu):
-    # s = 1 and s = 1j sit on grid nodes, and 1j also on an atom
-    points = [1.0, 1j, np.exp(0.3j), np.exp(-2.1j)]
-    degrees = [0, 3, 16, 100]
+    # the table sums the far field once per point, in another order than the
+    # per-node terms; the exactly rounded sum of those terms is the reference
+    degrees = [16, 0, 3, 100, 3]
+    for m in (1, 2, 3, 64, 1024):
+        # s = 1 and the last node sit on grid nodes (1j also for m = 64, 1024,
+        # and on an atom); exp(i pi / m) lies halfway between two nodes
+        points = [1.0, 1j, circle_nodes(m)[-1], np.exp(1j * np.pi / m), np.exp(0.3j), np.exp(-2.1j)]
+        table = l_functional_table(mu, points, degrees, m)
+        assert table.shape == (len(points), len(degrees))
+        for i, s in enumerate(points):
+            for k, n in enumerate(degrees):
+                expected = _l_functional_exact_sum(mu, complex(s), n, m)
+                assert abs(table[i, k] - expected) <= 1e-14 * abs(expected)
+                assert l_functional(mu, s, n, m) == table[i, k]
+    assert l_functional_table(mu, [1.0], [], 64).shape == (1, 0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 1.0, np.exp(0.3j)], ids=["far", "at-s", "in-window"])
+def test_l_functional_propagates_nan_density(bad):
+    # one NaN grid value makes every entry at s = 1 NaN, whether its node is
+    # far at every degree, saturated at every degree, or inside the window of
+    # n = 3 but not saturated there
     m = 1024
-    table = l_functional_table(mu, points, degrees, m)
-    assert table.shape == (len(points), len(degrees))
-    for i, s in enumerate(points):
-        for k, n in enumerate(degrees):
-            expected = _l_functional_one_degree(mu, complex(s), n, m)
-            assert table[i, k] == expected
-            assert l_functional(mu, s, n, m) == expected
+    nodes = circle_nodes(m)
+    hit = nodes[np.argmin(np.abs(nodes - bad))]
+    mu = CircleMeasure(lambda z: np.where(z == hit, np.nan, 1.0 + 0.1 * z.real))
+    assert np.all(np.isnan(l_functional_table(mu, [1.0], [0, 3, 100], m)))
 
 
 def test_measure_from_json_kinds():
