@@ -86,8 +86,11 @@ def _merge_defaults(cfg: dict, defaults: dict) -> dict:
 
 
 def _int(value, what: str, lo: int = 1) -> int:
-    """An integer config value of at least ``lo``."""
+    """An integer config value of at least ``lo``.  A non-integral or
+    non-finite float (JSON has Infinity) is refused, not truncated."""
     try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         n = int(value)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{what} must be an integer") from e
@@ -524,31 +527,34 @@ def run_roundtrip(cfg, outdir, seed: int) -> int:
 
 # -- Plancherel -------------------------------------------------------------
 
-PLANCHEREL_DEFAULTS = {"systems": 10, "n": 16, "radius": 1.0, "grid": 4096, "tol": 1e-8}
+PLANCHEREL_DEFAULTS = {"systems": 10, "n": 16, "radius": 1.0, "tol": 1e-8}
 
 
 def run_plancherel(cfg, outdir, seed: int) -> int:
-    """Log-subharmonicity inequality over all index pairs of random systems."""
+    """Log-subharmonicity inequality over all index pairs of random systems.
+
+    ``zeros`` counts the zeros of a_{(l,m]}^* in the disk; the margin is
+    0 up to rounding exactly when there are none (a_{(l,m]}^* outer).
+    """
     cfg = _merge_defaults(cfg, PLANCHEREL_DEFAULTS)
     cfg["seed"] = seed
     rng = np.random.default_rng(seed)
     count = _int(cfg["systems"], "systems")
     n = _int(cfg["n"], "n")
-    grid = _int(cfg["grid"], "grid")
     tol = _float(cfg["tol"], "tol")
     radius = _float(cfg["radius"], "radius")
     rows = []
     violated = False
     for t in range(count):
         F = _random_disk(rng, n, radius)
-        for l, m_, lhs, rhs, _ in plancherel_table(ladder_from_coeffs(F), grid):
+        for l, m_, lhs, rhs, zeros in plancherel_table(ladder_from_coeffs(F)):
             # a NaN side or tolerance fails the certification
             if not lhs <= rhs + tol:
                 violated = True
-            rows.append([t, l, m_, lhs, rhs, rhs - lhs])
+            rows.append([t, l, m_, lhs, rhs, rhs - lhs, zeros])
     write_csv(
         os.path.join(outdir, "plancherel.csv"),
-        ["system", "l", "m", "lhs", "rhs", "margin"],
+        ["system", "l", "m", "lhs", "rhs", "margin", "zeros"],
         rows,
         config_hash(cfg),
     )

@@ -36,6 +36,23 @@ def circle_nodes(m: int) -> np.ndarray:
     return nodes
 
 
+def _interpolant(values: np.ndarray):
+    """The trigonometric interpolant of M uniform samples, as a vectorized
+    callable: frequencies -M/2 .. M/2-1 (fftfreq order)."""
+    m = len(values)
+    fhat = np.fft.fft(values) / m  # fhat[k] multiplies z^k (k mod m, centered below)
+    ks = np.fft.fftfreq(m, 1.0 / m).astype(int)
+
+    def w(z):
+        z = np.asarray(z, dtype=np.complex128)
+        out = np.zeros(z.shape, dtype=np.complex128)
+        for k, c in zip(ks, fhat):
+            out += c * z ** k
+        return out
+
+    return w
+
+
 class CircleMeasure:
     """Density (closed-form or sampled) plus finite atom list.
 
@@ -93,17 +110,7 @@ class CircleMeasure:
         m = len(values)
         if m < 2 or (m & (m - 1)) != 0:
             raise DomainError("sample count must be a power of two >= 2")
-        fhat = np.fft.fft(values) / m  # fhat[k] multiplies z^k (k mod m, centered below)
-        ks = np.fft.fftfreq(m, 1.0 / m).astype(int)
-
-        def w(z):
-            z = np.asarray(z, dtype=np.complex128)
-            out = np.zeros(z.shape, dtype=np.complex128)
-            for k, c in zip(ks, fhat):
-                out += c * z ** k
-            return out
-
-        return CircleMeasure(w, kind=kind, samples=values)
+        return CircleMeasure(_interpolant(values), kind=kind, samples=values)
 
     @staticmethod
     def from_atoms(atoms) -> "CircleMeasure":
@@ -127,16 +134,23 @@ class CircleMeasure:
         )
 
     def conjugate(self) -> "CircleMeasure":
-        """The measure mu-bar: conjugated density and atom weights."""
-        density = None
-        if self.density is not None:
+        """The measure mu-bar: conjugated density and atom weights.
+
+        A sampled density becomes the interpolant of the conjugated samples,
+        which puts the Nyquist term at -M/2 as in every sampled density.
+        """
+        density = samples = None
+        if self.samples is not None:
+            samples = np.conj(self.samples)
+            density = _interpolant(samples)
+        elif self.density is not None:
             base = self.density
             density = lambda z: np.conj(base(z))
         return CircleMeasure(
             density,
             [(p, np.conj(w)) for p, w in self.atoms],
             kind=self.kind + ":conj",
-            samples=None if self.samples is None else np.conj(self.samples),
+            samples=samples,
         )
 
     # -- density access ----------------------------------------------------

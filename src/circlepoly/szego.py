@@ -15,13 +15,15 @@ import numpy as np
 from .errors import DomainError, MalformedLadderError, NearSingularMomentError
 from .laurent import LaurentPoly, coeffs_from_json, coeffs_to_json
 from .measures import CircleMeasure, circle_nodes
-from .nlfs import LOG_FLOOR
 
 T_MINUS = "Tminus"
 T_PLUS = "Tplus"
 T_GENERAL = "T"
 
 CLASS_TOL = 1e-9
+# P's mass off degrees l+1..m, relative to max|R|, above which a Plancherel
+# pair fails closed; roundoff reaches about 6e-16
+SPILL_TOL = 1e-12
 
 
 @dataclass
@@ -255,46 +257,79 @@ def verify_system(
     return SystemReport(ortho, det, norm)
 
 
-def plancherel_check(sys: OrthoSystem, l: int, m: int, nodes: int = 4096):
+def plancherel_check(sys: OrthoSystem, l: int, m: int):
     """Both sides of the log-subharmonicity inequality for index pair l < m.
 
-    lhs = -2 * mean over the grid of log(|phi_l^* phi_m + phitilde_l^*
-    phitilde_m| / 2), rhs = sum_{l<j<=m} log(1+|F_j|^2).  The caller
-    asserts lhs <= rhs (+ tolerance).  Returns (lhs, rhs, clamped).
+    lhs = -2 * mean over the circle of log(|phi_l^* phi_m + phitilde_l^*
+    phitilde_m| / 2), read exactly by Jensen's formula, and rhs =
+    sum_{l<j<=m} log(1+|F_j|^2).  The caller asserts lhs <= rhs
+    (+ tolerance).  Returns (lhs, rhs, zeros); see ``_plancherel_sides``.
     """
     if not 0 <= l < m <= sys.size:
         raise DomainError("need 0 <= l < m <= N")
-    zs = circle_nodes(nodes)
-    return _plancherel_sides(
-        sys.phi[l](zs), sys.phi[m](zs), sys.phitilde[l](zs), sys.phitilde[m](zs), sys.F[l:m]
-    )
+    return _plancherel_sides(sys, [(l, m)])[0]
 
 
-def plancherel_table(sys: OrthoSystem, nodes: int = 4096) -> list:
+def plancherel_table(sys: OrthoSystem) -> list:
     """``plancherel_check`` for every pair 0 <= l < m <= N.
 
-    Returns rows (l, m, lhs, rhs, clamped) in lexicographic order.  Each
-    ladder entry is evaluated on the grid once, so 2(N+1) grid-sized rows
-    are held at a time.
+    Returns rows (l, m, lhs, rhs, zeros) in lexicographic order.
     """
-    zs = circle_nodes(nodes)
-    phi = [p(zs) for p in sys.phi]
-    phitilde = [p(zs) for p in sys.phitilde]
-    return [
-        (l, m, *_plancherel_sides(phi[l], phi[m], phitilde[l], phitilde[m], sys.F[l:m]))
-        for l in range(sys.size)
-        for m in range(l + 1, sys.size + 1)
-    ]
+    pairs = [(l, m) for l in range(sys.size) for m in range(l + 1, sys.size + 1)]
+    return [(l, m, *sides) for (l, m), sides in zip(pairs, _plancherel_sides(sys, pairs))]
 
 
-def _plancherel_sides(phi_l, phi_m, phitilde_l, phitilde_m, F_between):
-    """(lhs, rhs, clamped) from grid values of the ladder at indices l < m."""
-    # on the circle star = conjugate
-    u = np.conj(phi_l) * phi_m
-    v = np.conj(phitilde_l) * phitilde_m
-    mag = 0.5 * np.abs(u + v)
-    clamped = bool(np.any(mag <= np.exp(LOG_FLOOR)))
-    logs = np.log(np.maximum(mag, np.exp(LOG_FLOOR)))
-    lhs = -2.0 * float(np.mean(logs))
-    rhs = float(np.sum(np.log1p(np.abs(F_between) ** 2)))
-    return lhs, rhs, clamped
+def _plancherel_poly(p_l, q_l, p_m, q_m):
+    """R = P / z^{l+1} from the coefficient rows of phi_l, phitilde_l,
+    phi_m and phitilde_m (degrees 0..l and 0..m), or None when P's mass
+    outside degrees l+1..m exceeds SPILL_TOL * max|R| or R is not finite.
+
+    P = phi_l^* phi_m + phitilde_l^* phitilde_m with the degree-l star, and
+    R = 2 z^{m-l-1} a_{(l,m]} with a_{(l,m]} the a of forward(F[l:m]).
+    """
+    l, m = len(p_l) - 1, len(p_m) - 1
+    P = np.convolve(np.conj(p_l[::-1]), p_m) + np.convolve(np.conj(q_l[::-1]), q_m)
+    mag = np.abs(P)
+    spill = mag[: l + 1].sum() + mag[m + 1 :].sum()
+    # a NaN or infinite R fails through its max
+    ok = spill <= SPILL_TOL * mag[l + 1 : m + 1].max() < np.inf and P[m] != 0
+    return P[l + 1 : m + 1] if ok else None
+
+
+def _plancherel_sides(sys: OrthoSystem, pairs) -> list:
+    """(lhs, rhs, zeros) for each index pair (l, m), l < m, of a Tminus system.
+
+    On the circle |P| = |R| (see ``_plancherel_poly``), so Jensen's formula
+    gives mean log|P/2| = log(|R_top|/2) + sum_k log max(1, |r_k|) over the
+    m-l-1 roots r_k of R, found as eigenvalues of companion matrices stacked
+    by degree.  ``zeros`` counts the |r_k| > 1: the reflected zeros of
+    a_{(l,m]}^* in the disk, each adding 2 log|r_k| to rhs - lhs, which is
+    0 exactly when a_{(l,m]}^* is outer.  A pair whose R fails the spill
+    check gets lhs NaN and zeros -1.
+    """
+    if sys.class_tag != T_MINUS:
+        raise DomainError("the Plancherel rhs sum log(1+|F|^2) is the Tminus one")
+    used = {i for pair in pairs for i in pair}
+    rows = {i: (sys.phi[i].window(0, i), sys.phitilde[i].window(0, i)) for i in used}
+    by_degree = {}
+    for k, (l, m) in enumerate(pairs):
+        by_degree.setdefault(m - l - 1, []).append((k, _plancherel_poly(*rows[l], *rows[m])))
+    out = [None] * len(pairs)
+    for d, group in by_degree.items():
+        # a failed pair gets R = 1 + ... + z^d, so the eigenproblem stays finite
+        stack = np.array([np.ones(d + 1) if R is None else R for _, R in group])
+        top = stack[:, d]
+        roots = np.zeros((len(group), 0))
+        if d:
+            companion = np.zeros((len(group), d, d), dtype=np.complex128)
+            companion[:, 0, :] = -stack[:, d - 1 :: -1] / top[:, None]
+            companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+            roots = np.abs(np.linalg.eigvals(companion))
+        jensen = np.log(np.maximum(roots, 1.0)).sum(axis=-1)
+        lhs = -2.0 * (np.log(np.abs(top) / 2.0) + jensen)
+        zeros = (roots > 1.0).sum(axis=-1)
+        for i, (k, R) in enumerate(group):
+            l, m = pairs[k]
+            rhs = float(np.log1p(np.abs(sys.F[l:m]) ** 2).sum())
+            out[k] = (float("nan"), rhs, -1) if R is None else (float(lhs[i]), rhs, int(zeros[i]))
+    return out

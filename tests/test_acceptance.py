@@ -244,7 +244,7 @@ def test_criterion_09_plancherel_inequality():
         sys = ladder_from_coeffs(F)
         for l in range(16):
             for m in range(l + 1, 17):
-                lhs, rhs, _ = plancherel_check(sys, l, m, 4096)
+                lhs, rhs, _ = plancherel_check(sys, l, m)
                 assert lhs <= rhs + 1e-8
                 worst_margin = min(worst_margin, rhs - lhs)
     _ok(9, f"inequality held on all pairs; tightest margin {worst_margin:.2e}")

@@ -10,6 +10,7 @@ from circlepoly.cli import main
 from circlepoly.experiments import config_hash, read_csv, write_csv
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def _run(tmp_path, command, cfg=None, seed=0, out=None):
@@ -208,7 +209,7 @@ def test_roundtrip_smoke(tmp_path):
 
 
 def test_plancherel_smoke(tmp_path):
-    code, out = _run(tmp_path, "plancherel", {"systems": 2, "n": 6, "grid": 512})
+    code, out = _run(tmp_path, "plancherel", {"systems": 2, "n": 6})
     assert code == 0
     _, rows = read_csv(os.path.join(out, "plancherel.csv"))
     assert len(rows) == 2 * (6 * 7) // 2
@@ -266,7 +267,10 @@ def test_determinism_byte_identical(tmp_path):
 # l_functional entry and every Plancherel pair was computed on its own; the
 # shared grids and fused reductions must reproduce them byte for byte.  The
 # universality digest is of the far-field L sum (the L and bound columns
-# moved by rounding, at most 3.3e-16 relative; gap is unchanged).
+# moved by rounding, at most 3.3e-16 relative; gap is unchanged).  The
+# plancherel digest is of the exact Jensen sides (lhs and margin moved by
+# at most 1.5e-8 from the 512-node grid means; rhs is unchanged) with the
+# zeros column.
 PINNED_CSV_SHA256 = [
     (
         "universality",
@@ -275,8 +279,8 @@ PINNED_CSV_SHA256 = [
     ),
     (
         "plancherel",
-        {"systems": 2, "n": 6, "grid": 512},
-        "04a6bbdd0a3229d4d7ac4b7288b0767613838963090c16539080b2f8fbff2aa2",
+        {"systems": 2, "n": 6},
+        "3bbe5e5186accae45c38d65f556e796d72ba63eebafc510ed436cb568e8fc74f",
     ),
 ]
 
@@ -360,7 +364,7 @@ def test_output_bytes_pinned(tmp_path, command, cfg, fname, digest):
     "command,cfg",
     [
         ("universality", {"C": "nan", "degrees": [8], "points": {"count": 2}, "quadrature_m": 1024}),
-        ("plancherel", {"tol": "nan", "systems": 1, "n": 3, "grid": 64}),
+        ("plancherel", {"tol": "nan", "systems": 1, "n": 3}),
         ("roundtrip", {"strip_tol": "nan", "trials": 1, "n": 4, "extract_n": 2}),
         ("roundtrip", {"extract_tol": "nan", "trials": 1, "n": 4, "extract_n": 2}),
     ],
@@ -375,7 +379,7 @@ def test_nan_never_certifies(tmp_path, command, cfg):
     [
         ("universality", {"quadrature_m": 0}),
         ("plancherel", {"n": 0}),
-        ("plancherel", {"grid": 0}),
+        ("plancherel", {"n": -1}),
         ("plancherel", {"systems": 0}),
         ("fejer", {"degrees": []}),
         ("fejer", {"epsilons": []}),
@@ -424,6 +428,11 @@ def test_empty_grid_configs_rejected(tmp_path, command, cfg):
             },
             "universality.csv",
         ),
+        # JSON's Infinity and non-integral sizes are refused, not truncated
+        ("plancherel", {"n": INF}, "plancherel.csv"),
+        ("plancherel", {"systems": INF}, "plancherel.csv"),
+        ("plancherel", {"n": 2.7}, "plancherel.csv"),
+        ("roundtrip", {"trials": INF}, "roundtrip.csv"),
     ],
 )
 def test_nonpositive_sizes_rejected(tmp_path, command, cfg, artifact):

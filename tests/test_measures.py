@@ -173,6 +173,23 @@ def test_sampled_measure_keeps_its_samples():
     assert CircleMeasure.mu_r(0.5).scaled(2.0).conjugate().samples is None
 
 
+def test_conjugate_of_samples_is_the_interpolant_of_conjugated_samples():
+    # 8 samples of 1 + 0.5i z^4 interpolate 1 + 0.5i z^-4 (the Nyquist term
+    # sits at -M/2); the conjugated samples interpolate 1 - 0.5i z^-4
+    values = 1 + 0.5j * (-1.0) ** np.arange(8)
+    mu = CircleMeasure.from_samples(values)
+    conj = mu.conjugate()
+    zs = circle_nodes(16)
+    exact = 1 - 0.5j * (-1j) ** np.arange(16)  # 1 - 0.5i z^-4 on the 16 nodes
+    assert np.max(np.abs(conj.density_on_grid(16) - exact)) <= 1e-15
+    # the interpolant's power sum rounds by 1.3e-15 here, conjugated or not
+    assert np.max(np.abs(mu.density(zs) - mu.density_on_grid(16))) <= 2e-15
+    assert np.max(np.abs(conj.density(zs) - exact)) <= 2e-15
+    # moments below M/2 come from the samples and are those of mu-bar
+    assert np.array_equal(conj.moments(3), np.conj(mu.moments(3)[::-1]))
+    assert np.array_equal(conj.density(zs), CircleMeasure.from_samples(np.conj(values)).density(zs))
+
+
 def test_moments_domain_and_nonconvergence():
     with pytest.raises(DomainError):
         CircleMeasure.uniform().moments(-1)

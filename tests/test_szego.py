@@ -17,7 +17,14 @@ from circlepoly import (
     verify_system,
     w_from_ab,
 )
-from circlepoly.szego import SystemReport, _gram, _moment_matrix, orthonormality_residual
+from circlepoly.cli import main
+from circlepoly.szego import (
+    SystemReport,
+    _gram,
+    _moment_matrix,
+    _plancherel_poly,
+    orthonormality_residual,
+)
 from circlepoly.errors import (
     DomainError,
     MalformedLadderError,
@@ -217,10 +224,10 @@ def test_system_json_roundtrip():
 
 def test_plancherel_zero_coeffs_is_tight():
     sys = ladder_from_coeffs(np.zeros(6))
-    lhs, rhs, clamped = plancherel_check(sys, 2, 5, 512)
+    lhs, rhs, zeros = plancherel_check(sys, 2, 5)
     assert rhs == 0.0
     assert abs(lhs) < 1e-12
-    assert not clamped
+    assert not zeros
 
 
 def test_plancherel_inequality_random():
@@ -229,7 +236,7 @@ def test_plancherel_inequality_random():
     sys = ladder_from_coeffs(F)
     for l in range(8):
         for m in range(l + 1, 9):
-            lhs, rhs, _ = plancherel_check(sys, l, m, 4096)
+            lhs, rhs, _ = plancherel_check(sys, l, m)
             assert lhs <= rhs + 1e-8
 
 
@@ -237,16 +244,111 @@ def test_plancherel_table_matches_pairwise_checks():
     rng = np.random.default_rng(7)
     F = 0.6 * np.sqrt(rng.uniform(size=7)) * np.exp(2j * np.pi * rng.uniform(size=7))
     sys = ladder_from_coeffs(F)
-    rows = plancherel_table(sys, 512)
+    rows = plancherel_table(sys)
     pairs = [(l, m) for l in range(7) for m in range(l + 1, 8)]
     assert [row[:2] for row in rows] == pairs
     for l, m, *sides in rows:
-        assert tuple(sides) == plancherel_check(sys, l, m, 512)
+        assert tuple(sides) == plancherel_check(sys, l, m)
 
 
 def test_plancherel_bad_indices():
     sys = ladder_from_coeffs(np.zeros(4))
     with pytest.raises(DomainError):
-        plancherel_check(sys, 3, 3, 64)
+        plancherel_check(sys, 3, 3)
     with pytest.raises(DomainError):
-        plancherel_check(sys, 0, 9, 64)
+        plancherel_check(sys, 0, 9)
+
+
+def _grid_sides(sys, l, m, nodes):
+    """The grid reference for plancherel_check: lhs as -2 times the mean of
+    log(|conj(phi_l) phi_m + conj(phitilde_l) phitilde_m| / 2) over
+    ``nodes`` circle nodes, and rhs = sum_{l<j<=m} log(1+|F_j|^2)."""
+    zs = circle_nodes(nodes)
+    u = np.conj(sys.phi[l](zs)) * sys.phi[m](zs)
+    v = np.conj(sys.phitilde[l](zs)) * sys.phitilde[m](zs)
+    lhs = -2.0 * float(np.mean(np.log(0.5 * np.abs(u + v))))
+    return lhs, float(np.sum(np.log1p(np.abs(sys.F[l:m]) ** 2)))
+
+
+def _rows(sys, l, m):
+    return [p.window(0, k) for k in (l, m) for p in (sys.phi[k], sys.phitilde[k])]
+
+
+def test_plancherel_poly_is_twice_the_forward_a():
+    # the group law G_(l,m] = G_l^{-1} G_m: R = 2 z^{m-l-1} a_(l,m]
+    rng = np.random.default_rng(11)
+    F = _random_F(rng, 12, 1.0)
+    sys = ladder_from_coeffs(F)
+    for l in range(12):
+        for m in range(l + 1, 13):
+            R = _plancherel_poly(*_rows(sys, l, m))
+            a = forward(F[l:m]).a.window(-(m - l - 1), 0)
+            assert np.max(np.abs(R / 2 - a)) < 1e-14
+
+
+@pytest.mark.parametrize("seed", [3, 12])
+def test_plancherel_lhs_matches_fine_grid(seed):
+    rng = np.random.default_rng(seed)
+    sys = ladder_from_coeffs(_random_F(rng, 16, 1.0))
+    for l, m in [(0, 1), (0, 16), (2, 9), (5, 6), (7, 15), (15, 16)]:
+        lhs, rhs, _ = plancherel_check(sys, l, m)
+        grid_lhs, grid_rhs = _grid_sides(sys, l, m, 2 ** 16)
+        assert abs(lhs - grid_lhs) < 1e-12
+        assert rhs == grid_rhs
+
+
+def test_plancherel_lhs_matches_old_grid_at_small_radius():
+    rng = np.random.default_rng(13)
+    sys = ladder_from_coeffs(_random_F(rng, 16, 0.05))
+    for l, m, lhs, rhs, zeros in plancherel_table(sys):
+        grid_lhs, grid_rhs = _grid_sides(sys, l, m, 4096)
+        assert abs(lhs - grid_lhs) < 1e-14
+        assert rhs == grid_rhs
+        assert zeros == 0
+
+
+def test_plancherel_zeros_count_roots_outside_the_disk():
+    rng = np.random.default_rng(14)
+    seen = set()
+    for _ in range(4):
+        sys = ladder_from_coeffs(_random_F(rng, 16, 1.0))
+        for l, m, lhs, rhs, zeros in plancherel_table(sys):
+            R = _plancherel_poly(*_rows(sys, l, m))
+            assert zeros == np.count_nonzero(np.abs(np.roots(R[::-1])) > 1)
+            # a^*_(l,m] is outer exactly when the inequality is an equality
+            assert (rhs - lhs <= 1e-13) == (zeros == 0)
+            seen.add(zeros > 0)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_default_plancherel_certifies(tmp_path, seed):
+    # the 4096-node grid missed zeros near the circle at these seeds (exit 3)
+    assert main(["plancherel", "--out", str(tmp_path), "--seed", str(seed)]) == 0
+
+
+def test_plancherel_spill_fails_closed():
+    rng = np.random.default_rng(15)
+    sys = ladder_from_coeffs(_random_F(rng, 6, 0.5))
+    lhs, rhs, zeros = plancherel_check(sys, 2, 5)
+    assert lhs <= rhs + 1e-8 and zeros >= 0
+    sys.phi[5] = sys.phi[5] + LaurentPoly([1e-6])
+    lhs, rhs2, zeros = plancherel_check(sys, 2, 5)
+    assert np.isnan(lhs) and zeros == -1 and rhs2 == rhs
+    table = {(l, m): lhs for l, m, lhs, _, _ in plancherel_table(sys)}
+    assert np.isnan(table[2, 5]) and not np.isnan(table[2, 4])
+
+
+def test_plancherel_nan_coeff_gives_nan_lhs():
+    sys = ladder_from_coeffs(np.array([0.3, np.nan, 0.2, 0.1]))
+    assert np.isnan(plancherel_check(sys, 0, 3)[0])
+    assert np.isnan(plancherel_check(sys, 2, 4)[0])
+    assert not np.isnan(plancherel_check(sys, 0, 1)[0])
+
+
+def test_plancherel_requires_tminus():
+    sys = ladder_from_coeffs(np.array([0.3, 0.2]), T_PLUS)
+    with pytest.raises(DomainError):
+        plancherel_check(sys, 0, 2)
+    with pytest.raises(DomainError):
+        plancherel_table(sys)
