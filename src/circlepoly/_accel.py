@@ -43,14 +43,25 @@ def ladder_eval(F, s):
     u[0] = 1.0
     v[0] = 1.0
     spow = np.ones(p, dtype=np.complex128)  # s^k
-    for k in range(top):
-        fc = np.conj(F[k])
-        rho = np.sqrt(1.0 + abs(F[k]) ** 2)
-        u[k + 1] = (s * u[k] + spow * fc * np.conj(v[k])) / rho
-        v[k + 1] = (s * v[k] - spow * fc * np.conj(u[k])) / rho
-        spow = spow * s
-    # past the last nonzero F_k a step is multiplication by s (rho = 1);
+    w = np.empty(p, dtype=np.complex128)
+    t = np.empty(p, dtype=np.complex128)
+    rhos = [np.sqrt(1.0 + abs(f) ** 2) for f in F[:top]]
     # out is passed by position, which numpy parses faster than a keyword
+    for k, (fc, rho) in enumerate(zip(np.conj(F[:top]), rhos)):
+        uk, vk, u1, v1 = u[k], v[k], u[k + 1], v[k + 1]
+        np.multiply(spow, fc, w)
+        np.multiply(s, uk, u1)
+        np.conjugate(vk, t)
+        np.multiply(w, t, t)
+        np.add(u1, t, u1)
+        np.divide(u1, rho, u1)
+        np.multiply(s, vk, v1)
+        np.conjugate(uk, t)
+        np.multiply(w, t, t)
+        np.subtract(v1, t, v1)
+        np.divide(v1, rho, v1)
+        np.multiply(spow, s, spow)
+    # past the last nonzero F_k a step is multiplication by s (rho = 1)
     for k in range(top, n):
         np.multiply(s, u[k], u[k + 1])
         np.multiply(s, v[k], v[k + 1])

@@ -75,11 +75,18 @@ def read_csv(path):
     return columns, rows
 
 
-def _merge_defaults(cfg: dict, defaults: dict) -> dict:
+def _merge_defaults(cfg: dict, defaults: dict, optional=()) -> dict:
+    """The defaults updated by cfg.  A key that is neither a default nor
+    one of the runner's optional keys is refused, so that a misspelt or
+    retired key cannot run silently and only move the config hash."""
     if cfg is None:
         cfg = {}
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = sorted(map(str, set(cfg) - set(defaults) - set(optional)))
+    if unknown:
+        known = ", ".join(sorted([*defaults, *optional]))
+        raise ConfigError(f"unknown config keys {', '.join(unknown)} (known: {known})")
     out = dict(defaults)
     out.update(cfg)
     return out
@@ -215,7 +222,7 @@ UNIVERSALITY_DEFAULTS = {
 
 def run_universality(cfg, outdir, seed: int) -> int:
     """Diagonal universality gap vs its L-functional bound, per (s, n)."""
-    cfg = _merge_defaults(cfg, UNIVERSALITY_DEFAULTS)
+    cfg = _merge_defaults(cfg, UNIVERSALITY_DEFAULTS, optional=("coeffs",))
     cfg["seed"] = seed
     rng = np.random.default_rng(seed)
     mu = measure_from_json(cfg["measure"])
@@ -402,7 +409,7 @@ def run_thm5(cfg, outdir, seed: int) -> int:
     Rejects b with grid sup at or above 2^-1/2 (the threshold is sharp:
     past it the limiting object fails to be a measure) with exit code 3.
     """
-    cfg = _merge_defaults(cfg, THM5_DEFAULTS)
+    cfg = _merge_defaults(cfg, THM5_DEFAULTS, optional=("b",))
     cfg["seed"] = seed
     if "b" not in cfg:
         raise ConfigError("thm5 config needs 'b': [[re,im],...] (frequencies 1..)")
@@ -638,7 +645,7 @@ PLOT_DEFAULTS = {"xlog": False, "ylog": True, "out_name": "plot.svg"}
 
 def run_plot(cfg, outdir, seed: int) -> int:
     """Line chart of named CSV columns as a standalone SVG."""
-    cfg = _merge_defaults(cfg, PLOT_DEFAULTS)
+    cfg = _merge_defaults(cfg, PLOT_DEFAULTS, optional=("csv", "x", "y"))
     if "csv" not in cfg or "x" not in cfg or "y" not in cfg:
         raise ConfigError("plot config needs 'csv', 'x', and 'y' fields")
     columns, rows = read_csv(cfg["csv"])

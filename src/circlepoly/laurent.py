@@ -23,15 +23,8 @@ class LaurentPoly:
         c = np.asarray(coeffs, dtype=np.complex128)
         if c.ndim != 1:
             raise ValueError("coefficient array must be one-dimensional")
-        # only a window that starts or ends on a zero needs trimming
-        if trim and not (len(c) and c[0] != 0 and c[-1] != 0):
-            nz = np.flatnonzero(c)
-            if nz.size == 0:
-                c = c[:0]
-                lo = 0
-            else:
-                lo = lo + int(nz[0])
-                c = c[nz[0] : nz[-1] + 1]
+        if trim:
+            c, lo = _trim(c, lo)
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
@@ -41,6 +34,32 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def views(buf: np.ndarray, bounds) -> list:
+        """LaurentPolys on the slices buf[bounds[i]:bounds[i+1]] of a
+        read-only one-dimensional complex128 array, each from frequency 0.
+
+        Each is trimmed as the constructor trims but not copied: it shares
+        buf's memory, and keeping it alive keeps all of buf alive.
+        """
+        if buf.dtype != np.complex128 or buf.ndim != 1 or buf.flags.writeable:
+            raise ValueError("views need a read-only 1-D complex128 array")
+        bounds = np.asarray(bounds)
+        first, stop = bounds[:-1], bounds[1:]
+        # the constructor's test for every slice at once
+        whole = stop > first
+        whole[whole] = (buf[first[whole]] != 0) & (buf[stop[whole] - 1] != 0)
+        bounds = bounds.tolist()
+        new, put = object.__new__, object.__setattr__
+        out = []
+        for a, b, w in zip(bounds, bounds[1:], whole.tolist()):
+            c, lo = (buf[a:b], 0) if w else _trim(buf[a:b], 0)
+            p = new(LaurentPoly)
+            put(p, "coeffs", c)
+            put(p, "lo", lo)
+            out.append(p)
+        return out
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -244,6 +263,18 @@ class LaurentPoly:
                 )
             out.append(best)
         return out
+
+
+def _trim(c: np.ndarray, lo: int):
+    """c without its zero end entries, and the frequency of its first
+    remaining entry (0 when none remains)."""
+    # only a window that starts or ends on a zero needs trimming
+    if len(c) and c[0] != 0 and c[-1] != 0:
+        return c, lo
+    nz = np.flatnonzero(c)
+    if nz.size == 0:
+        return c[:0], 0
+    return c[nz[0] : nz[-1] + 1], lo + int(nz[0])
 
 
 def _coerce(x) -> LaurentPoly:

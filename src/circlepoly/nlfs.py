@@ -67,14 +67,20 @@ def forward(F) -> NLFSPair:
     """
     F = np.asarray(F, dtype=np.complex128)
     n = len(F)
+    invs = [1.0 / np.sqrt(1.0 + abs(f) ** 2) for f in F]
     a = np.zeros(n + 1, dtype=np.complex128)
     b = np.zeros(n, dtype=np.complex128)
     a[n] = 1.0
-    for j, f in enumerate(F, start=1):
-        inv = 1.0 / np.sqrt(1.0 + abs(f) ** 2)
-        a_old = a[n + 1 - j :].copy()
-        a[n + 1 - j :] = (a_old - b[:j] * np.conj(f)) * inv
-        b[:j] = (a_old * f + b[:j]) * inv
+    work = np.empty(n, dtype=np.complex128)
+    # out is passed by position, which numpy parses faster than a keyword
+    for j, (f, fc, inv) in enumerate(zip(F, np.conj(F), invs), start=1):
+        aj, bj, t = a[n + 1 - j :], b[:j], work[:j]
+        np.multiply(aj, f, t)
+        np.add(t, bj, t)  # F_j z^j a + b, before a changes
+        np.multiply(bj, fc, bj)
+        np.subtract(aj, bj, aj)
+        np.multiply(aj, inv, aj)
+        np.multiply(t, inv, bj)
     return NLFSPair(LaurentPoly(a, -n), LaurentPoly(b, 1), n)
 
 
@@ -129,31 +135,36 @@ def layer_strip(pair: NLFSPair, tol: float = 1e-9) -> np.ndarray:
         blo = lo + 1
     a = pair.a.window(lo, hi)
     b = pair.b.window(blo, blo + hi - lo)
+    work = np.empty((2, hi - lo + 1), dtype=np.complex128)
+    # an entry below this passes the check whichever way |.| is rounded
+    clear = 0.5 * spill_tol
     F = np.zeros(n, dtype=np.complex128)
     wlo, whi = lo, hi  # live window of a
     for k in [*range(1, h + 1), *range(n, h, -1)]:
         if k <= h:  # off the left; the rest holds factors k+1 .. n
-            F[k - 1] = _peel_bottom(a, lo, b, blo, k, wlo, whi)
+            F[k - 1] = _peel_bottom(a, lo, b, blo, k, wlo, whi, work)
             b_live, rest = (k - whi, k - wlo), (k + 1, n)
         else:  # off the right; the rest holds factors h+1 .. k-1
-            a0 = complex(a[-lo])  # a Python complex: its division is not numpy's
-            if abs(a0) < 1e-12:
-                raise StrippingError(f"stripping degenerate at step {k}: |a[0]| < 1e-12")
-            f = F[k - 1] = complex(b[k - blo]) / a0
-            inv = 1.0 / np.sqrt(1.0 + abs(f) ** 2)
-            sa, sb = slice(wlo - lo, whi - lo + 1), slice(wlo + k - blo, whi + k - blo + 1)
-            a_old = a[sa].copy()
-            a[sa] = (a_old + b[sb] * np.conj(f)) * inv
-            b[sb] = (b[sb] - a_old * f) * inv
+            F[k - 1] = _peel_top(a, lo, b, blo, k, wlo, whi, work)
             b_live, rest = (wlo + k, whi + k), (h + 1, k - 1)
         # b keeps the rest's support, a one frequency more than its own
         a_keep = rest[0] - rest[1] - 1
-        spill = max(_leave(a, lo, wlo, whi, a_keep, 0), _leave(b, blo, *b_live, *rest))
-        if not spill <= spill_tol:
-            raise StrippingError(
-                f"pair is not an exact finite series (spill {spill:.3e} at step {k})",
-                residual=spill,
-            )
+        # after a sweep's first step, which sees the whole loaded support,
+        # only a's lowest entry and the two ends of b's window leave; they
+        # are read as scalars, and a NaN or a larger entry takes the array
+        # path, whose check and message are the same as for the first step
+        ia, ib, jb = wlo - lo, b_live[0] - blo, b_live[1] - blo
+        if k not in (1, n) and abs(a[ia]) < clear and abs(b[ib]) < clear and abs(b[jb]) < clear:
+            a[ia] = b[ib] = b[jb] = 0
+        else:
+            # np.maximum keeps a NaN in either place; max would drop a
+            # NaN in second place
+            spill = np.maximum(_leave(a, lo, wlo, whi, a_keep, 0), _leave(b, blo, *b_live, *rest))
+            if not spill <= spill_tol:
+                raise StrippingError(
+                    f"pair is not an exact finite series (spill {spill:.3e} at step {k})",
+                    residual=float(spill),
+                )
         wlo, whi = a_keep, 0
     a[-lo] -= 1
     rem = float(np.max(np.abs(a))) + float(np.max(np.abs(b)))
@@ -164,20 +175,48 @@ def layer_strip(pair: NLFSPair, tol: float = 1e-9) -> np.ndarray:
     return F
 
 
-def _peel_bottom(a, a_lo, b, b_lo, k, lo, hi):
+def _peel_bottom(a, a_lo, b, b_lo, k, lo, hi, work):
     """Left-multiply by the inverse of factor k in place and return F_k.
     a (an array from frequency a_lo) is live on [lo, hi]; there it meets b
-    (from b_lo) on [k - hi, k - lo] through z^k b* and z^k a*."""
+    (from b_lo) on [k - hi, k - lo] through z^k b* and z^k a*.  work holds
+    two rows at least as long as the live window."""
     a0c = np.conj(a[-a_lo])
     if abs(a0c) < 1e-12:
         raise StrippingError(f"stripping degenerate at step {k}: |a[0]| < 1e-12")
     f = b[k - b_lo] / a0c
     inv = 1.0 / np.sqrt(1.0 + abs(f) ** 2)
-    sa = slice(lo - a_lo, hi - a_lo + 1)
-    sb = slice(k - hi - b_lo, k - lo - b_lo + 1)
-    a_old = a[sa].copy()
-    a[sa] = (a_old + np.conj(b[sb][::-1]) * f) * inv
-    b[sb] = (b[sb] - np.conj(a_old[::-1]) * f) * inv
+    aw = a[lo - a_lo : hi - a_lo + 1]
+    bw = b[k - hi - b_lo : k - lo - b_lo + 1]
+    s, t = work[0, : len(aw)], work[1, : len(aw)]
+    np.conjugate(bw[::-1], s)
+    np.multiply(s, f, s)
+    np.conjugate(aw[::-1], t)  # before a changes
+    np.multiply(t, f, t)
+    np.add(aw, s, aw)
+    np.multiply(aw, inv, aw)
+    np.subtract(bw, t, bw)
+    np.multiply(bw, inv, bw)
+    return f
+
+
+def _peel_top(a, a_lo, b, b_lo, k, lo, hi, work):
+    """Right-multiply by the inverse of factor k in place and return F_k.
+    a (from a_lo) is live on [lo, hi]; there it meets b (from b_lo) on
+    [lo + k, hi + k] through z^{-k} b and z^k a.  work as for _peel_bottom."""
+    a0 = complex(a[-a_lo])  # a Python complex: its division is not numpy's
+    if abs(a0) < 1e-12:
+        raise StrippingError(f"stripping degenerate at step {k}: |a[0]| < 1e-12")
+    f = complex(b[k - b_lo]) / a0
+    inv = 1.0 / np.sqrt(1.0 + abs(f) ** 2)
+    aw = a[lo - a_lo : hi - a_lo + 1]
+    bw = b[lo + k - b_lo : hi + k - b_lo + 1]
+    s, t = work[0, : len(aw)], work[1, : len(aw)]
+    np.multiply(bw, np.conj(f), s)
+    np.multiply(aw, f, t)  # before a changes
+    np.add(aw, s, aw)
+    np.multiply(aw, inv, aw)
+    np.subtract(bw, t, bw)
+    np.multiply(bw, inv, bw)
     return f
 
 
@@ -206,9 +245,10 @@ def layer_strip_truncated(a: LaurentPoly, b: LaurentPoly, steps: int, bandwidth:
     a_arr = a.clip(-bandwidth, 0).window(lo, 0)
     b_arr = b.window(1, bandwidth + steps)
     F = np.zeros(steps, dtype=np.complex128)
+    work = np.empty((2, 1 - lo), dtype=np.complex128)
     wlo = lo
     for k in range(1, steps + 1):
-        F[k - 1] = _peel_bottom(a_arr, lo, b_arr, 1, k, wlo, 0)
+        F[k - 1] = _peel_bottom(a_arr, lo, b_arr, 1, k, wlo, 0, work)
         _leave(a_arr, lo, wlo, 0, -bandwidth, 0)
         _leave(b_arr, 1, k, k - wlo, k + 1, k + bandwidth)
         wlo = -bandwidth

@@ -57,8 +57,8 @@ class OrthoSystem:
             "class": self.class_tag,
             "F": coeffs_to_json(self.F),
             "Ftilde": coeffs_to_json(self.Ftilde),
-            "phi": [coeffs_to_json(p.window(0, n)) for n, p in enumerate(self.phi)],
-            "phitilde": [coeffs_to_json(p.window(0, n)) for n, p in enumerate(self.phitilde)],
+            "phi": [coeffs_to_json(_dense(p, n)) for n, p in enumerate(self.phi)],
+            "phitilde": [coeffs_to_json(_dense(p, n)) for n, p in enumerate(self.phitilde)],
             "norms": list(map(float, self.norms)),
         }
 
@@ -76,6 +76,11 @@ def ladder_from_coeffs(F, cls: str = T_MINUS) -> OrthoSystem:
     phitilde_{n+1} = (z phitilde_n -+ z^n conj(F_{n+1}) star(phi_n)) / rho,
     with the minus sign and rho = sqrt(1+|F|^2) for the Tminus class, plus
     sign and rho = sqrt(1-|F|^2) for Tplus.
+
+    The rows of phi and phitilde over degrees 0..n are filled in place into
+    one packed triangular buffer (row n starts at n(n+1)/2), which is then
+    made read-only; phi[n] and phitilde[n] are views into it, so a single
+    row kept alive keeps the whole buffer alive.
     """
     F = np.asarray(F, dtype=np.complex128)
     if cls not in (T_MINUS, T_PLUS):
@@ -83,29 +88,38 @@ def ladder_from_coeffs(F, cls: str = T_MINUS) -> OrthoSystem:
     sign = -1.0 if cls == T_MINUS else 1.0
     if cls == T_PLUS and np.any(np.abs(F) >= 1):
         raise DomainError("Tplus recursion requires |F_j| < 1")
-    phi = [LaurentPoly.one()]
-    phitilde = [LaurentPoly.one()]
-    norms = np.empty(len(F) + 1)
+    size = len(F)
+    norms = np.empty(size + 1)
     norms[0] = 1.0
-    # rows n of phi and phitilde as dense arrays over degrees 0..n
-    p = q = np.ones(1, dtype=np.complex128)
+    invs = []
+    # per step, conj(F) against phitilde's row and -+conj(F) against phi's
+    coefs = np.empty((size, 2, 1), dtype=np.complex128)
     for n, f in enumerate(F):
         fsq = abs(f) ** 2
         norms[n + 1] = norms[n] * (1 + fsq) if cls == T_MINUS else norms[n] * (1 - fsq)
-        rho = np.sqrt(1 + fsq) if cls == T_MINUS else np.sqrt(1 - fsq)
-        inv = 1.0 / rho
+        invs.append(1.0 / (np.sqrt(1 + fsq) if cls == T_MINUS else np.sqrt(1 - fsq)))
         fc = np.conj(f)
+        coefs[n, 0, 0] = fc
+        coefs[n, 1, 0] = sign * fc
+    starts = np.arange(size + 2) * np.arange(1, size + 3) // 2
+    rows = np.zeros((2, starts[-1]), dtype=np.complex128)  # phi, phitilde
+    rows[:, 0] = 1.0
+    work = np.empty((2, size), dtype=np.complex128)
+    for n in range(size):
+        prev = rows[:, starts[n] : starts[n + 1]]
+        new = rows[:, starts[n + 1] : starts[n + 2]]
         # adding into zeros, like the zero padding of a LaurentPoly sum,
         # turns a -0 entry into +0, which keeps the result bitwise equal
-        pq = np.zeros((2, n + 2), dtype=np.complex128)
-        pq[0, 1:] += p
-        pq[1, 1:] += q
-        pq[0, : n + 1] += np.conj(q[::-1]) * fc
-        pq[1, : n + 1] += np.conj(p[::-1]) * (sign * fc)
-        pq *= inv
-        p, q = pq
-        phi.append(LaurentPoly(p))
-        phitilde.append(LaurentPoly(q))
+        shifted = new[:, 1:]
+        np.add(shifted, prev, shifted)
+        w = work[:, : n + 1]
+        np.conjugate(prev[::-1, ::-1], w)  # star(phitilde_n), star(phi_n)
+        np.multiply(w, coefs[n], w)
+        low = new[:, : n + 1]
+        np.add(low, w, low)
+        np.multiply(new, invs[n], new)
+    rows.setflags(write=False)
+    phi, phitilde = (LaurentPoly.views(row, starts) for row in rows)
     Ftilde = sign * F  # Ftilde = -F (Tminus) or F (Tplus)
     return OrthoSystem(
         F=F,
@@ -215,13 +229,26 @@ class SystemReport:
         return float(np.max([self.orthonormality_max, self.det_identity_max, self.monic_norm_max]))
 
 
-def _gram(left, right, T) -> np.ndarray:
+def _dense(p: LaurentPoly, n: int) -> np.ndarray:
+    """Coefficients of a polynomial on degrees 0..n: its own array when it
+    spans them (for a ladder row, a view into the packed buffer), else a
+    zero-padded copy."""
+    return p.coeffs if p.lo == 0 and len(p.coeffs) == n + 1 else p.window(0, n)
+
+
+def _gram(left, right, T, scale=None) -> np.ndarray:
     """Pairings <left[j], right[k]>_mu = A T B^H of polynomials of degree
     at most d, from their coefficient rows A, B and the (d+1)x(d+1)
-    moment matrix T."""
+    moment matrix T; with ``scale``, rows j of A and B are first
+    multiplied by scale[j]."""
     d = len(T) - 1
-    A = np.array([p.window(0, d) for p in left])
-    B = np.array([p.window(0, d) for p in right])
+    A, B = (np.zeros((len(polys), d + 1), dtype=np.complex128) for polys in (left, right))
+    for rows, polys in ((A, left), (B, right)):
+        for j, p in enumerate(polys):
+            rows[j, p.lo : p.hi + 1] = p.coeffs
+    if scale is not None:
+        A *= scale[:, None]
+        B *= scale[:, None]
     return A @ T @ B.conj().T
 
 
@@ -251,8 +278,7 @@ def verify_system(
         np.max(np.abs(np.abs(p(nodes)) ** 2 + np.abs(q(nodes)) ** 2 - 2.0))
         for p, q in zip(sys.phi, sys.phitilde)
     ]))
-    levels = range(n_max + 1)
-    monic = np.diag(_gram([sys.monic(n) for n in levels], [sys.monic_tilde(n) for n in levels], T))
+    monic = np.diag(_gram(sys.phi, sys.phitilde, T, np.sqrt(sys.norms)))
     norm = float(np.max(np.abs(monic - sys.norms)))
     return SystemReport(ortho, det, norm)
 
@@ -310,7 +336,7 @@ def _plancherel_sides(sys: OrthoSystem, pairs) -> list:
     if sys.class_tag != T_MINUS:
         raise DomainError("the Plancherel rhs sum log(1+|F|^2) is the Tminus one")
     used = {i for pair in pairs for i in pair}
-    rows = {i: (sys.phi[i].window(0, i), sys.phitilde[i].window(0, i)) for i in used}
+    rows = {i: (_dense(sys.phi[i], i), _dense(sys.phitilde[i], i)) for i in used}
     by_degree = {}
     for k, (l, m) in enumerate(pairs):
         by_degree.setdefault(m - l - 1, []).append((k, _plancherel_poly(*rows[l], *rows[m])))

@@ -7,6 +7,8 @@ bit for bit, including exact zeros in F, degenerate lengths and the
 spill reported for a pair that is not the series it claims to be.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +21,12 @@ from circlepoly import (
     ladder_from_coeffs,
     layer_strip,
     layer_strip_truncated,
+    measure_from_pair,
+    nlfs,
     outer_from_modulus,
+    verify_system,
 )
+from circlepoly._accel import ladder_eval
 from circlepoly.errors import StrippingError
 from circlepoly.nlfs import su2_residual
 
@@ -249,3 +255,117 @@ def test_strip_inverts_forward_up_to_64(n, seed):
     F2 = layer_strip(forward(F))
     assert F2.shape == F.shape
     assert np.max(np.abs(F2 - F), initial=0.0) < 1e-9
+
+
+# -- the packed ladder: rows are read-only views into one buffer -------------
+
+
+def _edge_draws():
+    """F with a trailing zero run (rows whose constant term trims away),
+    signed zeros in every position, and an exact zero first coefficient."""
+    F = _draw(12, "complex", seed=3)
+    F[-4:] = 0
+    signed = np.array([complex(-0.0, -0.0), complex(0.3, -0.0), complex(-0.0, 0.2), 0.0, -0.25])
+    return [F, signed, np.concatenate([[0.0], _draw(5, "real", seed=4)])]
+
+
+@pytest.mark.parametrize("cls", ["Tminus", "Tplus"])
+@pytest.mark.parametrize("which", range(3))
+def test_packed_rows_match_reference_bitwise(cls, which):
+    F = _edge_draws()[which]
+    sys = ladder_from_coeffs(F, cls)
+    phi, phitilde = _ladder_ref(F, cls)
+    assert all(_same(p, q) for p, q in zip(sys.phi, phi))
+    assert all(_same(p, q) for p, q in zip(sys.phitilde, phitilde))
+    assert any(p.lo > 0 for p in sys.phi)  # some rows trimmed their constant term
+
+
+@pytest.mark.parametrize("cls", ["Tminus", "Tplus"])
+@pytest.mark.parametrize("n", [0, 1, 2, 17])
+def test_packed_rows_are_read_only_views_of_one_buffer(n, cls):
+    sys = ladder_from_coeffs(_draw(n, "complex", seed=5), cls)
+    base = sys.phi[0].coeffs.base
+    assert not base.flags.writeable
+    for row in sys.phi + sys.phitilde:
+        assert row.coeffs.base is base  # a view, not a copy
+        with pytest.raises(ValueError):
+            row.coeffs[0] = 2.0
+
+
+def test_views_refuse_a_writeable_buffer():
+    with pytest.raises(ValueError):
+        LaurentPoly.views(np.zeros(3, dtype=np.complex128), [0, 1, 3])
+
+
+def test_system_from_packed_buffer_verifies_at_n64():
+    # every fifth coefficient zero, so the Gram rows include trimmed views
+    rng = np.random.default_rng(64)
+    F = 0.02 * np.sqrt(rng.uniform(size=64)) * np.exp(2j * np.pi * rng.uniform(size=64))
+    F[::5] = 0
+    sys = ladder_from_coeffs(F)
+    assert sys.phi[64].coeffs.base is sys.phitilde[0].coeffs.base
+    assert sum(p.lo > 0 for p in sys.phi) == 13
+    pair = forward(F)
+    report = verify_system(sys, measure_from_pair(pair.a, pair.b))
+    assert report.max_residual() <= 1e-8
+
+
+# -- the steady-state spill read fails closed ----------------------------------
+
+# (a's lowest live entry, the low end of b's live window, its high end), as
+# indices into the peeled arrays, for a bottom and for a top step
+_LEAVING = {
+    "_peel_bottom": lambda a_lo, b_lo, k, lo, hi: (lo - a_lo, k - hi - b_lo, k - lo - b_lo),
+    "_peel_top": lambda a_lo, b_lo, k, lo, hi: (lo - a_lo, lo + k - b_lo, hi + k - b_lo),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e-3])
+@pytest.mark.parametrize("entry", range(3))
+@pytest.mark.parametrize("peel,step", [("_peel_bottom", 3), ("_peel_top", 6)])
+def test_planted_spill_fails_closed(monkeypatch, peel, step, entry, value):
+    # steps 3 (of the bottom sweep 1..4) and 6 (of the top sweep 8..5) take
+    # the scalar read; the value is planted after the step, in an entry
+    # that leaves the window at that step.  A NaN in either b entry must
+    # fail too: max(a_spill, nan) is a_spill, so it needs np.maximum
+    pair = forward(_draw(8, "complex", seed=7))
+    original = getattr(nlfs, peel)
+
+    def planting(a, a_lo, b, b_lo, k, lo, hi, *rest):
+        f = original(a, a_lo, b, b_lo, k, lo, hi, *rest)
+        if k == step:
+            ia, ib, jb = _LEAVING[peel](a_lo, b_lo, k, lo, hi)
+            a_or_b, i = [(a, ia), (b, ib), (b, jb)][entry]
+            a_or_b[i] = value
+        return f
+
+    monkeypatch.setattr(nlfs, peel, planting)
+    with pytest.raises(StrippingError) as info:
+        layer_strip(pair)
+    assert str(info.value) == f"pair is not an exact finite series (spill {value:.3e} at step {step})"
+    assert info.value.residual == value or np.isnan(value) and np.isnan(info.value.residual)
+
+
+# -- byte guard of the series path ---------------------------------------------
+
+# sha256 of forward, layer_strip, every ladder row and ladder_eval at
+# n = 512, seed 0, written by the per-step array code before the steps
+# were fused in place
+SERIES_DIGEST = "ddb1ae2d3650203e00d9c7e900efd4919d72f738863ea0eccd4debf503dd2852"
+
+
+def test_series_path_bytes_pinned():
+    rng = np.random.default_rng(0)
+    F = 0.05 * np.sqrt(rng.uniform(size=512)) * np.exp(2j * np.pi * rng.uniform(size=512))
+    F[::7] = 0  # trimmed ladder rows
+    F[-5:] = 0  # and a zero tail for ladder_eval
+    s = np.exp(2j * np.pi * rng.uniform(size=16))
+    h = hashlib.sha256()
+    pair = forward(F)
+    sys = ladder_from_coeffs(F)
+    u, v = ladder_eval(F, s)
+    for p in [pair.a, pair.b, *sys.phi, *sys.phitilde]:
+        h.update(np.int64(p.lo).tobytes() + p.coeffs.tobytes())
+    for arr in (layer_strip(pair), sys.norms, u, v):
+        h.update(arr.tobytes())
+    assert h.hexdigest() == SERIES_DIGEST

@@ -486,3 +486,24 @@ def test_bad_measure_spec(tmp_path):
 
 def test_negative_seed_rejected(tmp_path):
     assert main(["universality", "--seed", "-1", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("universality", {"degrees": [8], "points": {"count": 2}, "quadrature": 1024}),
+        ("lacunary", {"degree": [8, 16]}),
+        ("fejer", {"epsilon": [0.1, 0.05]}),
+        ("thm5", {"b": [[0.3, 0.0]], "strip_step": 4}),
+        ("roundtrip", {"trials": 1, "n": 4, "extract_n": 2, "seed": 3}),
+        # the grid key retired with Plancherel's Jensen sides
+        ("plancherel", {"systems": 1, "n": 3, "grid": 4096}),
+        ("counterexample", {"n_max": 4, "r_value": [0.5]}),
+        ("plot", {"csv": "x.csv", "x": "n", "y": ["gap"], "log": True}),
+    ],
+)
+def test_unknown_config_key_rejected(tmp_path, capsys, command, cfg):
+    code, out = _run(tmp_path, command, cfg)
+    assert code == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    assert not os.path.exists(out) or not os.listdir(out)
