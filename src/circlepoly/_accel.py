@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .measures import on_circle
+
 # there is no compiled path; kept for callers that report the backend
 USE_NUMBA = False
 
@@ -31,8 +33,7 @@ def ladder_eval(F, s):
     """
     F = np.ascontiguousarray(F, dtype=np.complex128)
     s = np.ascontiguousarray(s, dtype=np.complex128)
-    # written so that a NaN point fails the check
-    if not np.all(np.abs(np.abs(s) - 1.0) <= 1e-9):
+    if not on_circle(s):
         raise ValueError("ladder_eval requires points on the unit circle")
     n = len(F)
     p = len(s)

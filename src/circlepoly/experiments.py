@@ -25,7 +25,13 @@ from ._accel import ladder_eval
 from .errors import ConfigError, HypothesisError
 from .kernels import gap_and_bound
 from .laurent import LaurentPoly, coeffs_to_json
-from .measures import CircleMeasure, circle_nodes, l_functional_table, measure_from_json
+from .measures import (
+    CircleMeasure,
+    circle_nodes,
+    l_functional_table,
+    measure_from_json,
+    on_circle,
+)
 from .nlfs import (
     B_SUP_THRESHOLD,
     density_on_circle,
@@ -71,7 +77,10 @@ def read_csv(path):
     if not lines:
         raise ConfigError(f"CSV file {path} has no data")
     columns = lines[0].split(",")
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    try:
+        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+    except ValueError as e:
+        raise ConfigError(f"CSV file {path} has a non-numeric cell") from e
     return columns, rows
 
 
@@ -139,7 +148,7 @@ def _sample_points(cfg, rng) -> np.ndarray:
     spec = cfg.get("points", {"count": 64})
     if isinstance(spec, dict) and "explicit" in spec:
         pts = _complex_list(spec["explicit"], "points.explicit")
-        if not np.all(np.abs(np.abs(pts) - 1.0) <= 1e-9):
+        if not on_circle(pts):
             raise ConfigError("explicit points must lie on the unit circle")
         return pts
     if isinstance(spec, dict) and "count" in spec:
@@ -179,12 +188,14 @@ def _schedule(cfg) -> list:
         base = _float(spec.get("base", 1.5), "degrees.base")
         count = _int(spec.get("count", 20), "degrees.count")
         start = _int(spec.get("start", 4), "degrees.start")
-        if base <= 1.0:
+        if not base > 1.0:  # a NaN base fails
             raise ConfigError("lacunary schedule needs base > 1")
-        ns, n = [], start
-        for _ in range(count):
-            ns.append(n)
-            n = max(int(np.ceil(base * n)), n + 1)
+        ns = [start]
+        try:
+            for _ in range(count - 1):
+                ns.append(max(int(np.ceil(base * ns[-1])), ns[-1] + 1))
+        except OverflowError as e:  # an infinite base * n
+            raise ConfigError("lacunary schedule overflows; lower its base or count") from e
         return ns
     raise ConfigError("degrees must be a list or a base/count/start object")
 
@@ -343,7 +354,7 @@ def run_fejer(cfg, outdir, seed: int) -> int:
         raise ConfigError("the F-shape must be nonzero")
     shape = shape / norm1
     s = complex(*(_float(x, "point") for x in _list(cfg["point"], "point", 2)))
-    if not abs(abs(s) - 1.0) <= 1e-9:
+    if not on_circle(s):
         raise ConfigError("evaluation point must lie on the unit circle")
     epsilons = [_float(e, "epsilons") for e in _list(cfg["epsilons"], "epsilons")]
     # the scaling check applies to halving steps only; a NaN step is kept, and fails
@@ -431,7 +442,7 @@ def run_thm5(cfg, outdir, seed: int) -> int:
     sup_b = float(np.max(np.abs(bv)))
     report = {"sup_b": sup_b, "accepted": sup_b < B_SUP_THRESHOLD}
     out_json = os.path.join(outdir, "thm5_report.json")
-    if sup_b >= B_SUP_THRESHOLD:
+    if not sup_b < B_SUP_THRESHOLD:  # a NaN b is rejected
         report["reason"] = (
             f"sup|b| = {sup_b:.6f} >= 2^-1/2; the threshold is sharp and the "
             "limiting object is not a measure"

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import DomainError
 from .laurent import LaurentPoly
-from .measures import CircleMeasure, l_functional
+from .measures import CircleMeasure, l_functional, on_circle, pairing
 from .szego import OrthoSystem
 
 CD_DIAGONAL_TOL = 1e-8
@@ -75,17 +75,16 @@ def reproduce_check(
 ) -> float:
     """|<f, K_n(., lam)>_mu - f(lam)|, the reproducing-property residual.
 
-    The star in the pairing acts on the kernel in both variables, so
-    star(K_n)(z, lam) = sum_j star(phitilde_j)(z) phi_j(lam); this is what
-    makes the property hold off the circle as well."""
+    The star in the pairing acts on the kernel in both variables: K_n is
+    taken as sum_j phitilde_j(z) conj(phi_j(lam)), so its star is
+    sum_j star(phitilde_j)(z) phi_j(lam); this is what makes the property
+    hold off the circle as well.  The pairing reads mu's moment vector."""
     if lam == 0:
         raise DomainError("kernel is singular at lambda = 0")
-    kstar = LaurentPoly.zero()
+    k = LaurentPoly.zero()
     for j in range(n + 1):
-        kstar = kstar + sys.phitilde[j].star().scale(sys.phi[j](lam))
-    integrand = f * kstar
-    val = mu.integrate_adaptive(integrand, m)
-    return abs(val - f(lam))
+        k = k + sys.phitilde[j].scale(np.conj(sys.phi[j](lam)))
+    return abs(pairing(f, k, mu, m) - f(lam))
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ def universality_gap(
     preconditions."""
     z = s if z is None else z
     lam = s if lam is None else lam
-    if not abs(abs(s) - 1.0) <= 1e-9:
+    if not on_circle(s):
         raise DomainError("s must lie on the unit circle")
     if n < 2 * C:
         raise DomainError(f"hypothesis n >= 2C violated: n={n}, C={C}")

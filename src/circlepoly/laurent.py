@@ -290,10 +290,6 @@ def coeffs_to_json(arr) -> list:
     return [[float(np.real(c)), float(np.imag(c))] for c in np.asarray(arr)]
 
 
-def coeffs_from_json(items) -> np.ndarray:
-    return np.array([complex(x, y) for x, y in items], dtype=np.complex128)
-
-
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Complex convolution; direct below FFT_THRESHOLD, FFT above.
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .measures import CircleMeasure
+from .measures import CircleMeasure, on_circle
 from .szego import OrthoSystem
 
 
@@ -40,7 +40,7 @@ def gamma(n: int) -> complex:
 
 def local_params(sys: OrthoSystem, s: complex, n: int) -> LocalParams:
     """A = (phi_n(s) - phi_n(s g))/(2 s^n), B = (phi_n(s) + phi_n(s g))/2."""
-    if not abs(abs(s) - 1.0) <= 1e-9:
+    if not on_circle(s):
         raise DomainError("s must lie on the unit circle")
     if n < 1:
         raise DomainError("n must be at least 1")

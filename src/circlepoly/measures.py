@@ -36,6 +36,12 @@ def circle_nodes(m: int) -> np.ndarray:
     return nodes
 
 
+def on_circle(z) -> bool:
+    """Whether every point of z lies on the unit circle, within 1e-9 of
+    modulus 1; False when any point is NaN."""
+    return bool(np.all(np.abs(np.abs(z) - 1.0) <= 1e-9))
+
+
 def _interpolant(values: np.ndarray):
     """The trigonometric interpolant of M uniform samples, as a vectorized
     callable: frequencies -M/2 .. M/2-1 (fftfreq order)."""
@@ -75,7 +81,7 @@ class CircleMeasure:
         self.samples = samples
         self.normalization_tol = normalization_tol
         for p, _ in self.atoms:
-            if not abs(abs(p) - 1.0) <= 1e-9:
+            if not on_circle(p):
                 raise DomainError(f"atom at {p} is not on the unit circle")
 
     # -- constructors ------------------------------------------------------
@@ -299,8 +305,7 @@ def l_functional_table(mu: CircleMeasure, points, degrees, m: int = 65536) -> np
     """
     points = [complex(s) for s in points]
     degrees = list(degrees)
-    # written so that a NaN point fails the check
-    if not all(abs(abs(s) - 1.0) <= 1e-9 for s in points):
+    if not on_circle(points):
         raise DomainError("s must lie on the unit circle")
     if any(n < 0 for n in degrees):
         raise DomainError("n must be nonnegative")
@@ -394,6 +399,8 @@ def measure_from_json(spec: dict) -> CircleMeasure:
 
 
 def _parse_atoms(items):
+    if not isinstance(items, list):
+        raise ConfigError("measure atoms must be a list of point/weight entries")
     out = []
     for it in items:
         try:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, MalformedPairError, StrippingError
-from .laurent import LaurentPoly, coeffs_from_json, coeffs_to_json
-from .measures import CircleMeasure, circle_nodes
+from .laurent import LaurentPoly
+from .measures import CircleMeasure, circle_nodes, on_circle
 
 B_SUP_THRESHOLD = 2 ** -0.5
 
@@ -37,19 +37,6 @@ class NLFSPair:
         res = su2_residual(self.a, self.b)
         if res > tol:
             raise MalformedPairError(f"SU(2) residual {res:.3e} exceeds {tol:.1e}")
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "a": {"lo": self.a.lo, "coeffs": coeffs_to_json(self.a.coeffs)},
-            "b": {"lo": self.b.lo, "coeffs": coeffs_to_json(self.b.coeffs)},
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "NLFSPair":
-        a = LaurentPoly(coeffs_from_json(doc["a"]["coeffs"]), doc["a"]["lo"])
-        b = LaurentPoly(coeffs_from_json(doc["b"]["coeffs"]), doc["b"]["lo"])
-        return NLFSPair(a, b, int(doc["n"]))
 
 
 def su2_residual(a: LaurentPoly, b: LaurentPoly) -> float:
@@ -335,7 +322,7 @@ def w_from_ab(a: LaurentPoly, b: LaurentPoly, m: int = 8192) -> np.ndarray:
     av = a(nodes)
     bv = b(nodes)
     bmax = float(np.max(np.abs(bv)))
-    if bmax >= B_SUP_THRESHOLD - 1e-9:
+    if not bmax < B_SUP_THRESHOLD - 1e-9:  # a NaN b fails
         raise HypothesisError(
             f"sup|b| = {bmax:.6f} >= 2^-1/2; the density is not well defined"
         )
@@ -366,7 +353,7 @@ def convergence_functional(pair: NLFSPair, s: complex) -> complex:
 
     Equals (star(phi_n) phitilde_n)^2(s) by the polynomial representation
     of the pair."""
-    if not abs(abs(s) - 1.0) <= 1e-9:
+    if not on_circle(s):
         raise MalformedPairError("s must lie on the unit circle")
     val = ((pair.a.star() + pair.b) * (pair.a - pair.b.star()))(complex(s))
     return val ** 2

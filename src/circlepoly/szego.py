@@ -1,9 +1,9 @@
 """Monic and normalized left/right orthogonal polynomial ladders.
 
 Two construction routes: the recurrence from coefficient sequences
-(production path) and Heine's determinant formula from quadrature moments
-(cross-validation oracle, limited to small degrees by the conditioning of
-Toeplitz determinants).
+(production path) and the two-sided Szegő recursion on a measure's moment
+vector (cross-validation route, O(n^2)).  Heine's determinant formula
+stays in the tests as the independent oracle for the second.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MalformedLadderError, NearSingularMomentError
-from .laurent import LaurentPoly, coeffs_from_json, coeffs_to_json
+from .laurent import LaurentPoly
 from .measures import CircleMeasure, circle_nodes
 
 T_MINUS = "Tminus"
@@ -28,15 +28,15 @@ SPILL_TOL = 1e-12
 
 @dataclass
 class OrthoSystem:
-    """Coefficient sequences and the normalized polynomial ladders.
+    """Coefficient sequence and the normalized polynomial ladders.
 
     phi[n] and phitilde[n] are the normalized left/right polynomials of
     degree n; norms[n] is the monic pairing ∏_{j<=n}(1+|F_j|^2) for the
-    Tminus convention (∏(1-|F_j|^2) for Tplus).
+    Tminus convention (∏(1-|F_j|^2) for Tplus).  The right ladder's
+    coefficients are -F (Tminus) or F (Tplus).
     """
 
     F: np.ndarray
-    Ftilde: np.ndarray
     phi: list
     phitilde: list
     norms: np.ndarray
@@ -51,22 +51,6 @@ class OrthoSystem:
 
     def monic_tilde(self, n: int) -> LaurentPoly:
         return self.phitilde[n] * np.sqrt(self.norms[n])
-
-    def to_json(self) -> dict:
-        return {
-            "class": self.class_tag,
-            "F": coeffs_to_json(self.F),
-            "Ftilde": coeffs_to_json(self.Ftilde),
-            "phi": [coeffs_to_json(_dense(p, n)) for n, p in enumerate(self.phi)],
-            "phitilde": [coeffs_to_json(_dense(p, n)) for n, p in enumerate(self.phitilde)],
-            "norms": list(map(float, self.norms)),
-        }
-
-    @staticmethod
-    def from_json(doc: dict) -> "OrthoSystem":
-        F = coeffs_from_json(doc["F"])
-        sys = ladder_from_coeffs(F, doc.get("class", T_MINUS))
-        return sys
 
 
 def ladder_from_coeffs(F, cls: str = T_MINUS) -> OrthoSystem:
@@ -120,15 +104,7 @@ def ladder_from_coeffs(F, cls: str = T_MINUS) -> OrthoSystem:
         np.multiply(new, invs[n], new)
     rows.setflags(write=False)
     phi, phitilde = (LaurentPoly.views(row, starts) for row in rows)
-    Ftilde = sign * F  # Ftilde = -F (Tminus) or F (Tplus)
-    return OrthoSystem(
-        F=F,
-        Ftilde=Ftilde,
-        phi=phi,
-        phitilde=phitilde,
-        norms=norms,
-        class_tag=cls,
-    )
+    return OrthoSystem(F=F, phi=phi, phitilde=phitilde, norms=norms, class_tag=cls)
 
 
 def extract_coeffs(Phi, PhiTilde):
@@ -163,21 +139,52 @@ def extract_coeffs(Phi, PhiTilde):
 
 
 def monic_from_moments(mu: CircleMeasure, n: int, m: int = 4096):
-    """Monic degree-n polynomials via Heine's determinant formula.
+    """Monic degree-n left and right polynomials of mu by the two-sided
+    Szegő recursion on its moments c_{-n..n}.
 
     Returns (Phi_n, PhiTilde_n, deltas) where deltas[k] is the Toeplitz
-    moment determinant of order k for k = 0..n.  PhiTilde comes from the
-    conjugate measure.  Ill-conditioning limits this route to small n.
+    moment determinant of order k for k = 0..n, the running product of the
+    pairings kappa_k = sum_j conj(PhiTilde_k[k-j]) c_j.  With P^#[j] =
+    conj(P[k-j]), each step is Phi_{k+1} = z Phi_k + conj(F) PhiTilde_k^#
+    and PhiTilde_{k+1} = z PhiTilde_k + conj(Ftilde) Phi_k^#, the two
+    coefficients read off the moments.  An order whose determinant is
+    below 1e-10 times the product of its moment matrix's row norms (a
+    scale of 0 counting as 1), compared in log form, raises
+    NearSingularMomentError with that order as its index.
     """
     if n < 0:
         raise DomainError("degree must be nonnegative")
     c = mu.moments(n, m)
-    deltas = _toeplitz_dets(c, n)
-    phi = _heine(c, deltas, n)
-    cbar = np.conj(c[::-1])  # moments of the conjugate measure
-    deltas_bar = _toeplitz_dets(cbar, n)
-    phitilde = _heine(cbar, deltas_bar, n)
-    return phi, phitilde, deltas
+    pos, neg = c[n:], c[n::-1]  # c_0..c_n and c_0, c_{-1}..c_{-n}
+    mass = np.abs(c) ** 2
+    rows = np.zeros(n + 1)  # squared row norms of the order-k moment matrix
+    phi = tilde = np.ones(1, dtype=np.complex128)
+    deltas = np.empty(n + 1, dtype=np.complex128)
+    log_det, det = 0.0, 1.0
+    for k in range(n + 1):
+        rows[:k] += mass[n - k : n]  # row i < k gains c_{i-k}
+        rows[k] = np.sum(mass[n : n + k + 1])
+        kappa = np.dot(np.conj(tilde[::-1]), pos[: k + 1])
+        with np.errstate(divide="ignore"):
+            log_det += np.log(abs(kappa))
+            log_scale = np.sum(np.log(rows[: k + 1])) / 2
+        if log_det < np.log(1e-10) + (log_scale if log_scale > -np.inf else 0.0):
+            raise NearSingularMomentError(
+                f"moment determinant of order {k} is numerically zero "
+                "(measure likely outside the uniqueness class)",
+                index=k,
+            )
+        det *= kappa
+        deltas[k] = det
+        if k == n:
+            break
+        fc = -np.dot(phi, pos[1 : k + 2]) / kappa  # conj(F_{k+1})
+        ft = -np.dot(np.conj(tilde), neg[1 : k + 2]) / np.dot(phi[::-1], neg[: k + 1])
+        phi, tilde = (
+            np.append(0, phi) + np.append(fc * np.conj(tilde[::-1]), 0),
+            np.append(0, tilde) + np.append(np.conj(ft) * np.conj(phi[::-1]), 0),
+        )
+    return LaurentPoly(phi, 0), LaurentPoly(tilde, 0), deltas
 
 
 def _moment_matrix(c, k):
@@ -186,34 +193,6 @@ def _moment_matrix(c, k):
     d = len(c) // 2
     i = np.arange(k + 1)
     return c[d + i[:, None] - i[None, :]]
-
-
-def _toeplitz_dets(c, n):
-    deltas = np.empty(n + 1, dtype=np.complex128)
-    for k in range(n + 1):
-        mat = _moment_matrix(c, k)
-        det = np.linalg.det(mat)
-        scale = float(np.prod(np.linalg.norm(mat, axis=1))) or 1.0
-        if abs(det) < 1e-10 * scale:
-            raise NearSingularMomentError(
-                f"moment determinant of order {k} is numerically zero "
-                "(measure likely outside the uniqueness class)",
-                index=k,
-            )
-        deltas[k] = det
-    return deltas
-
-
-def _heine(c, deltas, n):
-    if n == 0:
-        return LaurentPoly.one()
-    mat = _moment_matrix(c, n)  # row 0 is the z-powers row in Heine's determinant
-    coeffs = np.zeros(n + 1, dtype=np.complex128)
-    for j in range(n + 1):
-        # minor: drop row 0 and column j; z-power of column j is z^{n-j}
-        minor = np.delete(np.delete(mat, 0, axis=0), j, axis=1)
-        coeffs[n - j] = (-1) ** j * np.linalg.det(minor) / deltas[n - 1]
-    return LaurentPoly(coeffs, 0)
 
 
 @dataclass

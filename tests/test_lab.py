@@ -43,6 +43,10 @@ def test_read_csv_errors(tmp_path):
     empty.write_text("# only a comment\n")
     with pytest.raises(ConfigError):
         read_csv(str(empty))
+    text = tmp_path / "text.csv"
+    text.write_text("a,b\n1,x\n")
+    with pytest.raises(ConfigError):
+        read_csv(str(text))
 
 
 def test_config_hash_is_order_independent():
@@ -367,6 +371,7 @@ def test_output_bytes_pinned(tmp_path, command, cfg, fname, digest):
         ("plancherel", {"tol": "nan", "systems": 1, "n": 3}),
         ("roundtrip", {"strip_tol": "nan", "trials": 1, "n": 4, "extract_n": 2}),
         ("roundtrip", {"extract_tol": "nan", "trials": 1, "n": 4, "extract_n": 2}),
+        ("thm5", {"b": [[NAN, 0.0]]}),
     ],
 )
 def test_nan_never_certifies(tmp_path, command, cfg):
@@ -433,6 +438,9 @@ def test_empty_grid_configs_rejected(tmp_path, command, cfg):
         ("plancherel", {"systems": INF}, "plancherel.csv"),
         ("plancherel", {"n": 2.7}, "plancherel.csv"),
         ("roundtrip", {"trials": INF}, "roundtrip.csv"),
+        ("lacunary", {"degrees": {"base": NAN}}, "lacunary.csv"),
+        ("lacunary", {"degrees": {"base": INF}}, "lacunary.csv"),
+        ("lacunary", {"degrees": {"base": 1e308}}, "lacunary.csv"),
     ],
 )
 def test_nonpositive_sizes_rejected(tmp_path, command, cfg, artifact):

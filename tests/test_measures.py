@@ -359,6 +359,8 @@ def test_measure_from_json_composition():
         {"kind": "samples"},
         {"kind": "samples", "values": [[1.0]]},
         {"kind": "atoms", "list": [{"point": [1, 0]}]},
+        {"kind": "atoms", "list": 5},
+        {"kind": "uniform", "atoms": 1.5},
     ],
 )
 def test_measure_from_json_rejects_malformed(spec):

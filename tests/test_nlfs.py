@@ -73,15 +73,6 @@ def test_validate_rejects_bad_supports():
         NLFSPair(good.a.scale(2), good.b, 1).validate()
 
 
-def test_pair_json_roundtrip():
-    rng = np.random.default_rng(3)
-    pair = forward(_random_F(rng, 7))
-    pair2 = NLFSPair.from_json(pair.to_json())
-    assert (pair2.a - pair.a).max_abs() < 1e-15
-    assert (pair2.b - pair.b).max_abs() < 1e-15
-    assert pair2.n == 7
-
-
 def test_to_polys_matches_ladder():
     rng = np.random.default_rng(4)
     F = _random_F(rng, 10)

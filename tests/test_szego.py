@@ -58,7 +58,7 @@ def test_norms_are_products():
     sys = ladder_from_coeffs(F)
     expect = np.cumprod(np.concatenate([[1.0], 1 + np.abs(F) ** 2]))
     assert np.allclose(sys.norms, expect)
-    assert sys.Ftilde == pytest.approx(-F)
+    assert [np.conj(sys.monic_tilde(n)[0]) for n in range(1, 9)] == pytest.approx(-F)
 
 
 def test_tplus_requires_contractive_coeffs():
@@ -66,7 +66,7 @@ def test_tplus_requires_contractive_coeffs():
         ladder_from_coeffs(np.array([1.5]), T_PLUS)
     sys = ladder_from_coeffs(np.array([0.5]), T_PLUS)
     assert sys.norms[1] == pytest.approx(0.75)
-    assert sys.Ftilde == pytest.approx([0.5])
+    assert np.conj(sys.monic_tilde(1)[0]) == pytest.approx(0.5)
 
 
 def test_unknown_class_rejected():
@@ -148,6 +148,69 @@ def test_heine_flags_singular_moment_matrix():
     assert exc.value.index == 1
 
 
+def _toeplitz_dets(c, n):
+    deltas = np.empty(n + 1, dtype=np.complex128)
+    for k in range(n + 1):
+        mat = _moment_matrix(c, k)
+        det = np.linalg.det(mat)
+        scale = float(np.prod(np.linalg.norm(mat, axis=1))) or 1.0
+        if abs(det) < 1e-10 * scale:
+            raise NearSingularMomentError(f"moment determinant of order {k} is zero", index=k)
+        deltas[k] = det
+    return deltas
+
+
+def _heine(c, deltas, n):
+    if n == 0:
+        return LaurentPoly.one()
+    mat = _moment_matrix(c, n)  # row 0 is the z-powers row in Heine's determinant
+    coeffs = np.zeros(n + 1, dtype=np.complex128)
+    for j in range(n + 1):
+        # minor: drop row 0 and column j; z-power of column j is z^{n-j}
+        minor = np.delete(np.delete(mat, 0, axis=0), j, axis=1)
+        coeffs[n - j] = (-1) ** j * np.linalg.det(minor) / deltas[n - 1]
+    return LaurentPoly(coeffs, 0)
+
+
+def _heine_oracle(mu, n, m=4096):
+    """(Phi_n, PhiTilde_n, deltas) by Heine's determinant formula, O(n^4):
+    deltas[k] = det(c_{i-j})_{i,j<=k}, and PhiTilde from the moments of the
+    conjugate measure."""
+    c = mu.moments(n, m)
+    cbar = np.conj(c[::-1])
+    deltas = _toeplitz_dets(c, n)
+    return _heine(c, deltas, n), _heine(cbar, _toeplitz_dets(cbar, n), n), deltas
+
+
+@pytest.mark.parametrize("which", ["su2", "atom", "scaled"])
+def test_szego_recursion_matches_heine(which):
+    if which == "su2":
+        pair = forward(_random_F(np.random.default_rng(7), 6, 0.1))
+        mu = measure_from_pair(pair.a, pair.b)
+    elif which == "atom":
+        # a complex atom puts the measure in the general class (Ftilde != -+F)
+        mu = CircleMeasure.mu_r(0.3).with_atoms([(1j, 0.2 + 0.1j)])
+    else:
+        mu = CircleMeasure.mu_r(0.5).scaled(1 + 0.3j)
+    for n in range(9):
+        phi, phitilde, deltas = monic_from_moments(mu, n)
+        hphi, hphitilde, hdeltas = _heine_oracle(mu, n)
+        assert (phi - hphi).max_abs() < 1e-12
+        assert (phitilde - hphitilde).max_abs() < 1e-12
+        assert np.max(np.abs(deltas - hdeltas) / np.abs(hdeltas)) < 1e-12
+
+
+def test_szego_recursion_matches_ladder_at_n128():
+    F = _random_F(np.random.default_rng(128), 128, 0.035)
+    pair = forward(F)
+    sys = ladder_from_coeffs(F)
+    phi, phitilde, deltas = monic_from_moments(measure_from_pair(pair.a, pair.b), 128)
+    assert (phi - sys.monic(128)).max_abs() < 1e-12
+    assert (phitilde - sys.monic_tilde(128)).max_abs() < 1e-12
+    # Delta_k / Delta_{k-1} is the monic pairing norms[k]
+    assert np.max(np.abs(deltas / np.cumprod(sys.norms) - 1.0)) < 1e-12
+
+
 def test_verify_system_mu_r():
     sys = ladder_from_coeffs(np.array([0.5, 0, 0]))
     report = verify_system(sys, CircleMeasure.mu_r(0.5))
@@ -210,16 +273,6 @@ def test_orthonormality_propagates_nan():
     assert np.isnan(verify_system(sys, mu).max_residual())
     bad = ladder_from_coeffs(np.array([0.5, np.nan]))
     assert np.isnan(orthonormality_residual(bad, CircleMeasure.mu_r(0.5), 2))
-
-
-def test_system_json_roundtrip():
-    rng = np.random.default_rng(4)
-    sys = ladder_from_coeffs(_random_F(rng, 6, 0.7))
-    doc = sys.to_json()
-    sys2 = type(sys).from_json(doc)
-    assert np.max(np.abs(sys2.F - sys.F)) < 1e-15
-    for n in range(7):
-        assert (sys2.phi[n] - sys.phi[n]).max_abs() < 1e-15
 
 
 def test_plancherel_zero_coeffs_is_tight():
