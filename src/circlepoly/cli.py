@@ -10,6 +10,7 @@ or invariant the run certifies was violated, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,7 +27,9 @@ from .errors import (
 from .experiments import RUNNERS
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on the first call and reused after."""
     p = argparse.ArgumentParser(
         prog="circlepoly",
         description=(

@@ -26,6 +26,7 @@ from .errors import ConfigError, HypothesisError
 from .kernels import gap_and_bound
 from .laurent import LaurentPoly, coeffs_to_json
 from .measures import (
+    MAX_QUAD_NODES,
     CircleMeasure,
     circle_nodes,
     l_functional_table,
@@ -179,11 +180,20 @@ def _coeff_source(cfg, rng, key="coeffs"):
     raise ConfigError(f"'{key}' must give 'explicit' values or a 'random' draw")
 
 
+def _bounded(degrees: list) -> list:
+    """The degrees, refused when the largest exceeds MAX_QUAD_NODES, the
+    largest grid a quadrature may build, before anything of that size is
+    allocated."""
+    if max(degrees) > MAX_QUAD_NODES:
+        raise ConfigError(f"degrees must be at most {MAX_QUAD_NODES}, got {max(degrees)}")
+    return degrees
+
+
 def _schedule(cfg) -> list:
     """Degree schedule: explicit list or lacunary base/count/start."""
     spec = cfg.get("degrees", {"base": 1.5, "count": 20, "start": 4})
     if isinstance(spec, list):
-        return [_int(n, "degrees") for n in _list(spec, "degrees")]
+        return _bounded([_int(n, "degrees") for n in _list(spec, "degrees")])
     if isinstance(spec, dict):
         base = _float(spec.get("base", 1.5), "degrees.base")
         count = _int(spec.get("count", 20), "degrees.count")
@@ -192,11 +202,12 @@ def _schedule(cfg) -> list:
             raise ConfigError("lacunary schedule needs base > 1")
         ns = [start]
         try:
-            for _ in range(count - 1):
+            # a schedule stops growing at its first degree past the bound
+            while len(ns) < count and ns[-1] <= MAX_QUAD_NODES:
                 ns.append(max(int(np.ceil(base * ns[-1])), ns[-1] + 1))
         except OverflowError as e:  # an infinite base * n
             raise ConfigError("lacunary schedule overflows; lower its base or count") from e
-        return ns
+        return _bounded(ns)
     raise ConfigError("degrees must be a list or a base/count/start object")
 
 
@@ -362,7 +373,7 @@ def run_fejer(cfg, outdir, seed: int) -> int:
     halvings = [(e1, e2) for e1, e2 in pairs if not abs(e1 - 2 * e2) > 1e-12 * e1]
     if not halvings:
         raise ConfigError("epsilons must hold a halving step: e followed by e/2")
-    degrees = sorted(set(_int(n, "degrees", 0) for n in _list(cfg["degrees"], "degrees")))
+    degrees = _bounded(sorted({_int(n, "degrees", 0) for n in _list(cfg["degrees"], "degrees")}))
     lo, hi = (_float(x, "ratio_window") for x in _list(cfg["ratio_window"], "ratio_window", 2))
     n_max = degrees[-1]
     if n_max < len(shape):

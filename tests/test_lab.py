@@ -5,9 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from circlepoly import __version__
+from circlepoly import __version__, cli
 from circlepoly.cli import main
-from circlepoly.experiments import config_hash, read_csv, write_csv
+from circlepoly.errors import ConfigError
+from circlepoly.experiments import _schedule, config_hash, read_csv, write_csv
+from circlepoly.measures import MAX_QUAD_NODES
 
 NAN = float("nan")
 INF = float("inf")
@@ -35,8 +37,6 @@ def test_csv_roundtrip(tmp_path):
 
 
 def test_read_csv_errors(tmp_path):
-    from circlepoly.errors import ConfigError
-
     with pytest.raises(ConfigError):
         read_csv(str(tmp_path / "missing.csv"))
     empty = tmp_path / "empty.csv"
@@ -286,10 +286,21 @@ PINNED_CSV_SHA256 = [
         {"systems": 2, "n": 6},
         "3bbe5e5186accae45c38d65f556e796d72ba63eebafc510ed436cb568e8fc74f",
     ),
+    # taken when every pair of degree >= 1 was eigensolved; at this radius
+    # all of them are certified root-free by Rouché's theorem instead
+    (
+        "plancherel",
+        {"systems": 2, "n": 6, "radius": 0.05},
+        "3213d7aed454b97ccce6accd24ebf19516796a7fff1479539252490c0372c58b",
+    ),
 ]
 
 
-@pytest.mark.parametrize("command,cfg,digest", PINNED_CSV_SHA256, ids=["universality", "plancherel"])
+@pytest.mark.parametrize(
+    "command,cfg,digest",
+    PINNED_CSV_SHA256,
+    ids=["universality", "plancherel", "plancherel_certified"],
+)
 def test_csv_bytes_pinned(tmp_path, command, cfg, digest):
     code, out = _run(tmp_path, command, cfg)
     assert code == 0
@@ -441,12 +452,60 @@ def test_empty_grid_configs_rejected(tmp_path, command, cfg):
         ("lacunary", {"degrees": {"base": NAN}}, "lacunary.csv"),
         ("lacunary", {"degrees": {"base": INF}}, "lacunary.csv"),
         ("lacunary", {"degrees": {"base": 1e308}}, "lacunary.csv"),
+        # a largest degree above MAX_QUAD_NODES is refused before any allocation
+        ("lacunary", {"degrees": {"base": 1e200, "count": 2}}, "lacunary.csv"),
+        ("universality", {"degrees": [8, 1e12]}, "universality.csv"),
+        ("fejer", {"degrees": [8, 1e12]}, "fejer.csv"),
     ],
 )
 def test_nonpositive_sizes_rejected(tmp_path, command, cfg, artifact):
     code, out = _run(tmp_path, command, cfg)
     assert code == 2
     assert not os.path.exists(os.path.join(out, artifact))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        [8, MAX_QUAD_NODES + 1],
+        {"base": 2, "count": 30, "start": 4},
+        {"base": 1.5, "count": 10 ** 9, "start": 4},
+        {"start": MAX_QUAD_NODES + 1, "count": 1},
+    ],
+)
+def test_schedule_bounds_its_largest_degree(spec):
+    with pytest.raises(ConfigError):
+        _schedule({"degrees": spec})
+
+
+def test_schedule_keeps_degrees_at_the_bound():
+    assert _schedule({"degrees": [8, MAX_QUAD_NODES]}) == [8, MAX_QUAD_NODES]
+    assert _schedule({"degrees": {"base": 2, "count": 19, "start": 4}})[-1] == MAX_QUAD_NODES
+
+
+def test_main_reuses_its_parser(tmp_path):
+    runs = [
+        ("roundtrip", {"trials": 1, "n": 8, "extract_n": 4}, 3),
+        ("plancherel", {"systems": 1, "n": 4}, 5),
+    ]
+
+    def outputs(fresh):
+        written = []
+        for k, (command, cfg, seed) in enumerate(runs):
+            if fresh:
+                cli._parser.cache_clear()
+            out = str(tmp_path / f"{fresh}{k}")
+            code, _ = _run(tmp_path, command, cfg, seed, out=out)
+            with open(os.path.join(out, f"{command}.csv"), "rb") as fh:
+                written.append((code, fh.read()))
+            # a refused command line leaves the parser as it was
+            with pytest.raises(SystemExit) as exc:
+                main(["nope"])
+            assert exc.value.code == 2
+        return written
+
+    assert outputs(fresh=False) == outputs(fresh=True)
+    assert cli._parser() is cli._parser()
 
 
 def test_nan_density_gives_nan_l(tmp_path):

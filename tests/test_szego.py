@@ -17,9 +17,11 @@ from circlepoly import (
     verify_system,
     w_from_ab,
 )
+from circlepoly import szego
 from circlepoly.cli import main
 from circlepoly.szego import (
     SystemReport,
+    _jensen_sums,
     _gram,
     _moment_matrix,
     _plancherel_poly,
@@ -405,3 +407,99 @@ def test_plancherel_requires_tminus():
         plancherel_check(sys, 0, 2)
     with pytest.raises(DomainError):
         plancherel_table(sys)
+
+
+def _jensen_oracle(stack):
+    """The all-eigensolve Jensen step: sum_k log max(1, |r_k|) and the count
+    of |r_k| > 1 over the roots of each row, from the eigenvalues of every
+    row's companion matrix."""
+    d = stack.shape[1] - 1
+    roots = np.zeros((len(stack), 0))
+    if d:
+        companion = np.zeros((len(stack), d, d), dtype=np.complex128)
+        companion[:, 0, :] = -stack[:, d - 1 :: -1] / stack[:, d, None]
+        companion[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+        roots = np.abs(np.linalg.eigvals(companion))
+    return np.log(np.maximum(roots, 1.0)).sum(axis=-1), (roots > 1.0).sum(axis=-1)
+
+
+def _bits(table):
+    return [(l, m, lhs.hex(), rhs.hex(), zeros) for l, m, lhs, rhs, zeros in table]
+
+
+def _count_eigvals(monkeypatch):
+    """Patch np.linalg.eigvals to record the number of matrices per call."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+def _systems(radius, seeds=range(4)):
+    return [ladder_from_coeffs(_random_F(np.random.default_rng(s), 16, radius)) for s in seeds]
+
+
+@pytest.mark.parametrize("radius", [0.01, 0.05, 0.2, 0.5, 1.0])
+def test_plancherel_table_matches_eigensolve_oracle(monkeypatch, radius):
+    systems = _systems(radius)
+    tables = [_bits(plancherel_table(sys)) for sys in systems]
+    monkeypatch.setattr(szego, "_jensen_sums", _jensen_oracle)
+    assert [_bits(plancherel_table(sys)) for sys in systems] == tables
+
+
+def test_small_draws_need_no_eigensolve(monkeypatch):
+    systems = _systems(0.04)
+    calls = _count_eigvals(monkeypatch)
+    for sys in systems:
+        plancherel_table(sys)
+    assert calls == []
+
+
+@pytest.mark.parametrize("radius", [0.2, 1.0])
+def test_large_draws_eigensolve_the_uncertified(monkeypatch, radius):
+    systems = _systems(radius)
+    calls = _count_eigvals(monkeypatch)
+    for sys in systems:
+        plancherel_table(sys)
+    # 120 pairs of degree >= 1 per system; some are certified, some are not
+    assert 0 < sum(calls) < 120 * len(systems)
+
+
+def test_rouche_certificate_margin(monkeypatch):
+    calls = _count_eigvals(monkeypatch)
+    d = 6
+    stack = np.zeros((2, d + 1), dtype=np.complex128)
+    stack[:, d] = 1.0
+    stack[:, 0] = [0.5 * (1 - 1e-12), 0.5]  # z^d + c just inside, and at, the margin
+    jensen, zeros = _jensen_sums(stack[:1])
+    assert calls == [] and jensen.tolist() == [0.0] and zeros.tolist() == [0]
+    jensen, zeros = _jensen_sums(stack)
+    # only the row at the margin is eigensolved; its roots 2^{-1/d} are inside
+    assert calls == [1] and jensen.tolist() == [0.0, 0.0] and zeros.tolist() == [0, 0]
+
+
+def test_root_just_outside_the_circle_counts(monkeypatch):
+    calls = _count_eigvals(monkeypatch)
+    r = 1 + 1e-9
+    stack = np.array([[0.1, 0, 0, 1], [0, 0, -r, 1]], dtype=np.complex128)  # z^2 (z - r)
+    jensen, zeros = _jensen_sums(stack)
+    assert calls == [1]
+    assert zeros.tolist() == [0, 1]
+    assert jensen[0] == 0.0 and abs(jensen[1] - np.log1p(1e-9)) < 1e-15
+    oracle = _jensen_oracle(stack)
+    assert jensen.tolist() == oracle[0].tolist() and zeros.tolist() == oracle[1].tolist()
+
+
+@pytest.mark.parametrize("at", [0, 3])
+def test_nan_row_takes_the_eigensolve(monkeypatch, at):
+    calls = _count_eigvals(monkeypatch)
+    stack = np.array([[0.1, 0, 0, 1], [0.1, 0, 0, 1]], dtype=np.complex128)
+    stack[1, at] = np.nan
+    with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+        _jensen_sums(stack)
+    assert calls == [1]
