@@ -4,10 +4,27 @@ On |s| = 1 the star of a polynomial coincides with its conjugate, so the
 whole ladder can be evaluated at circle points by a scalar recursion
 without materializing any coefficients.  This is the inner loop of the
 lacunary and universality experiments.  It runs in numpy, vectorized
-over the points.
+over the points, with u_k and v_k side by side in one buffer so that a
+step is 7 numpy calls.
+
+In the coordinates (u, conj v) a step is the matrix
+[[s, w], [-conj w, conj s]] / rho, and a product of such matrices keeps
+the form [[alpha, beta], [-conj beta, conj alpha]].  So a run of B steps
+is fixed per point by where it sends (u, v) = (1, 0).  A long ladder at
+few points, where a step costs more in Python calls than in arithmetic,
+is cut into L blocks of B steps.  Pass 1 steps every block at once from
+(1, 0), which gives the block maps; the maps carry the block-start
+states in sequence; pass 2 steps every block at once again from its
+start state, straight into the output.  That is about 2B + L
+Python-level steps instead of one per coefficient, for twice the
+arithmetic, so blocking is used only from BLOCK_MIN_TOP nonzero steps at
+up to BLOCK_MAX_POINTS points.  Every other ladder takes the plain step
+loop (one block).
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -15,6 +32,9 @@ from .measures import on_circle
 
 # there is no compiled path; kept for callers that report the backend
 USE_NUMBA = False
+
+BLOCK_MIN_TOP = 1024
+BLOCK_MAX_POINTS = 256
 
 
 def ladder_eval(F, s):
@@ -29,6 +49,7 @@ def ladder_eval(F, s):
     Returns
     -------
     (u, v) with shapes (N+1, len(s)): u[n] = phi_n(s), v[n] = phitilde_n(s).
+    Both are views of one (N+1, 2, len(s)) buffer.
     Only valid for |s| = 1 (the recursion uses star = conjugate there).
     """
     F = np.ascontiguousarray(F, dtype=np.complex128)
@@ -39,31 +60,86 @@ def ladder_eval(F, s):
     p = len(s)
     nonzero = np.flatnonzero(F)
     top = int(nonzero[-1]) + 1 if len(nonzero) else 0
-    u = np.empty((n + 1, p), dtype=np.complex128)
-    v = np.empty((n + 1, p), dtype=np.complex128)
-    u[0] = 1.0
-    v[0] = 1.0
-    spow = np.ones(p, dtype=np.complex128)  # s^k
-    w = np.empty(p, dtype=np.complex128)
-    t = np.empty(p, dtype=np.complex128)
-    rhos = [np.sqrt(1.0 + abs(f) ** 2) for f in F[:top]]
-    # out is passed by position, which numpy parses faster than a keyword
-    for k, (fc, rho) in enumerate(zip(np.conj(F[:top]), rhos)):
-        uk, vk, u1, v1 = u[k], v[k], u[k + 1], v[k + 1]
-        np.multiply(spow, fc, w)
-        np.multiply(s, uk, u1)
-        np.conjugate(vk, t)
-        np.multiply(w, t, t)
-        np.add(u1, t, u1)
-        np.divide(u1, rho, u1)
-        np.multiply(s, vk, v1)
-        np.conjugate(uk, t)
-        np.multiply(w, t, t)
-        np.subtract(v1, t, v1)
-        np.divide(v1, rho, v1)
-        np.multiply(spow, s, spow)
+    buf = np.empty((n + 1, 2, p), dtype=np.complex128)  # row k: (u_k, v_k)
+    buf[0] = 1.0
+    fcs = np.conj(F[:top])
+    # numpy divides a complex by a real rho as by rho + 0j, which multiplies
+    # by the reciprocal 1/rho; multiplying by it directly is several times
+    # faster and gives the same bits, but for the sign of a zero part
+    invs = np.array([1.0 / np.sqrt(1.0 + abs(f) ** 2) for f in F[:top]], dtype=np.complex128)
+    spow = np.ones((2, p), dtype=np.complex128)  # (s^k, -s^k)
+    spow[1] = -1.0
+    done = 0
+    if top >= BLOCK_MIN_TOP and p <= BLOCK_MAX_POINTS:
+        done = _blocked(buf, s, fcs, invs, spow)
+    rows = zip(buf[done:top], buf[done + 1 : top + 1])
+    _steps(rows, s, spow, fcs[done:], invs[done:], np.empty((2, p), dtype=np.complex128))
     # past the last nonzero F_k a step is multiplication by s (rho = 1)
     for k in range(top, n):
-        np.multiply(s, u[k], u[k + 1])
-        np.multiply(s, v[k], v[k + 1])
-    return u, v
+        np.multiply(s, buf[k, 0], buf[k + 1, 0])
+        np.multiply(s, buf[k, 1], buf[k + 1, 1])
+    return buf[:, 0], buf[:, 1]
+
+
+def _steps(rows, s, spow, fcs, invs, t):
+    """One ladder step per (x, y) in rows, with its fc = conj(F_k) and
+    inv = 1/rho_k: u' = (s u + w conj v) / rho and
+    v' = (s v - w conj u) / rho with w = s^k fc, from x = (u, v) on its
+    next-to-last axis into y, which may be x.
+
+    spow holds (s^k, -s^k) on that axis and is advanced in place; fc and
+    inv broadcast against it.  t is work space shaped like x."""
+    w = np.empty_like(spow)
+    # out is passed by position, which numpy parses faster than a keyword
+    for (x, y), fc, inv in zip(rows, fcs, invs):
+        np.multiply(spow, fc, w)
+        np.conjugate(x[..., ::-1, :], t)  # (conj v, conj u), before y changes
+        np.multiply(w, t, t)
+        np.multiply(s, x, y)
+        np.add(y, t, y)
+        np.multiply(y, inv, y)
+        np.multiply(spow, s, spow)
+
+
+def _blocked(buf, s, fcs, invs, spow):
+    """Fill rows 1 .. L*B of buf by L blocks of B steps, leave (s^{LB},
+    -s^{LB}) in spow for the steps after them, and return L*B."""
+    top, p = len(fcs), len(s)
+    # 7 calls per step of each pass, 8 per block for its start power and
+    # carry: about sqrt(top) blocks keeps both small
+    L = round(top**0.5)
+    B = top // L
+    fb = fcs[: L * B].reshape(L, B).T[..., None, None]  # step j: (L, 1, 1)
+    ib = invs[: L * B].reshape(L, B).T[..., None, None]
+    # block l starts at s^{lB}, formed by lB products as the plain loop
+    # forms it: raising s^B to the l-th power would add up B-step errors
+    sp = np.empty((L, 2, p), dtype=np.complex128)
+    sp[0, 0] = 1.0
+    run = np.empty((B + 1, p), dtype=np.complex128)
+    for l in range(1, L):
+        run[0] = sp[l - 1, 0]
+        run[1:] = s
+        np.cumprod(run, axis=0, out=run)
+        sp[l, 0] = run[B]
+    np.negative(sp[:, 0], sp[:, 1])
+    # pass 1, in place: where each block but the last sends (1, 0), which
+    # is (alpha, -beta) for its map [[alpha, beta], [-conj beta, conj alpha]]
+    maps = np.zeros((L - 1, 2, p), dtype=np.complex128)
+    maps[:, 0] = 1.0
+    _steps(repeat((maps, maps)), s, sp[:-1].copy(), fb[:, :-1], ib[:, :-1], np.empty_like(maps))
+    # so a start state (u, v) goes to alpha (u, v) + (beta, -beta) conj((v, u))
+    alpha = maps[:, :1]
+    crossed = maps[:, 1:] * np.array([[-1.0], [1.0]])
+    starts = buf[0 : L * B : B]
+    t = np.empty((2, p), dtype=np.complex128)
+    for y, y1, a, c in zip(starts, starts[1:], alpha, crossed):
+        np.conjugate(y[::-1], t)
+        np.multiply(t, c, t)
+        np.multiply(y, a, y1)
+        np.add(y1, t, y1)
+    # pass 2: step j of every block at once, rows lB + j -> lB + j + 1
+    src = buf[: L * B].reshape(L, B, 2, p).swapaxes(0, 1)
+    dst = buf[1 : L * B + 1].reshape(L, B, 2, p).swapaxes(0, 1)
+    _steps(zip(src, dst), s, sp, fb, ib, np.empty((L, 2, p), dtype=np.complex128))
+    spow[:] = sp[-1]
+    return L * B

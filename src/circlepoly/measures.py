@@ -227,7 +227,7 @@ class CircleMeasure:
     def check_normalization(self, m: int = 4096) -> float:
         """Return |c_0 - 1|; raise if it exceeds normalization_tol."""
         err = abs(moment(self, 0, m) - 1.0)
-        if err > self.normalization_tol:
+        if not err <= self.normalization_tol:  # a NaN fails
             raise DomainError(f"measure not normalized: |c_0 - 1| = {err:.3e}")
         return err
 

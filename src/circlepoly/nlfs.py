@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, MalformedPairError, StrippingError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, convolve
 from .measures import CircleMeasure, circle_nodes, on_circle
 
 B_SUP_THRESHOLD = 2 ** -0.5
@@ -35,7 +35,7 @@ class NLFSPair:
                 f"a support outside [-{self.n},0]"
             )
         res = su2_residual(self.a, self.b)
-        if res > tol:
+        if not res <= tol:  # a NaN fails
             raise MalformedPairError(f"SU(2) residual {res:.3e} exceeds {tol:.1e}")
 
 
@@ -45,30 +45,90 @@ def su2_residual(a: LaurentPoly, b: LaurentPoly) -> float:
     return d.max_abs()
 
 
+LEAF = 64
+
+
 def forward(F) -> NLFSPair:
     """Multiply the matrix factors left to right.
 
-    One step sends (a, b) to ((a - conj(F_j) z^{-j} b) / rho,
-    (F_j z^j a + b) / rho) with rho = sqrt(1+|F_j|^2), in place on arrays
-    over [-n, 0] and [1, n].
+    Up to LEAF factors this is the step loop of _leaves.  Beyond, the
+    factors up to the last nonzero one are cut into blocks of LEAF, all
+    stepped at once, and neighbouring blocks are multiplied level by
+    level with batched FFT convolutions (_combine); zero factors, which
+    pad the last block and follow the last nonzero one, are the identity.
     """
     F = np.asarray(F, dtype=np.complex128)
     n = len(F)
-    invs = [1.0 / np.sqrt(1.0 + abs(f) ** 2) for f in F]
+    if n <= LEAF:
+        a, b = _leaves(F[:, None])
+        return NLFSPair(LaurentPoly(a[:, 0], -n), LaurentPoly(b[:, 0], 1), n)
+    nonzero = np.flatnonzero(F)
+    top = int(nonzero[-1]) + 1 if len(nonzero) else 0
+    blocks = max(1, -(-top // LEAF))
+    padded = np.zeros(blocks * LEAF, dtype=np.complex128)
+    padded[:top] = F[:top]
+    a, b = _leaves(padded.reshape(blocks, LEAF).T)
+    ab = np.zeros((blocks, 2, LEAF + 1), dtype=np.complex128)
+    ab[:, 0] = a.T
+    ab[:, 1, :LEAF] = b.T
+    while len(ab) > 1:
+        ab = _combine(ab)
+    width = ab.shape[-1] - 1
     a = np.zeros(n + 1, dtype=np.complex128)
     b = np.zeros(n, dtype=np.complex128)
-    a[n] = 1.0
-    work = np.empty(n, dtype=np.complex128)
+    a[n - top :] = ab[0, 0, width - top :]
+    b[:top] = ab[0, 1, :top]
+    return NLFSPair(LaurentPoly(a, -n), LaurentPoly(b, 1), n)
+
+
+def _leaves(F):
+    """The pair (a, b) of each column of F, an (m, L) array of factors, as
+    the columns of a, over [-m, 0], and of b, over [1, m].
+
+    One step sends (a, b) to ((a - conj(F_j) z^{-j} b) / rho,
+    (F_j z^j a + b) / rho) with rho = sqrt(1+|F_j|^2), in place for
+    every column at once."""
+    m = len(F)
+    invs = np.reshape([1.0 / np.sqrt(1.0 + abs(f) ** 2) for f in F.flat], F.shape)
+    a = np.zeros((m + 1, F.shape[1]), dtype=np.complex128)
+    b = np.zeros(F.shape, dtype=np.complex128)
+    a[m] = 1.0
+    work = np.empty(F.shape, dtype=np.complex128)
     # out is passed by position, which numpy parses faster than a keyword
     for j, (f, fc, inv) in enumerate(zip(F, np.conj(F), invs), start=1):
-        aj, bj, t = a[n + 1 - j :], b[:j], work[:j]
+        aj, bj, t = a[m + 1 - j :], b[:j], work[:j]
         np.multiply(aj, f, t)
         np.add(t, bj, t)  # F_j z^j a + b, before a changes
         np.multiply(bj, fc, bj)
         np.subtract(aj, bj, aj)
         np.multiply(aj, inv, aj)
         np.multiply(t, inv, bj)
-    return NLFSPair(LaurentPoly(a, -n), LaurentPoly(b, 1), n)
+    return a, b
+
+
+def _combine(ab):
+    """Multiply the blocks of ab pairwise, 2l by 2l + 1, an odd last one
+    by the identity.
+
+    Row l of ab is the pair of w consecutive factors from the (lw+1)-th:
+    ab[l, 0] holds a on [-w, 0], ab[l, 1] holds b on [1, w] with the
+    block's own frequencies, then a zero.  The first block's pair
+    (a1, b1) followed by the second's (a2, b2) is
+    (a1 a2 - b1 (z^w b2)*, a1 z^w b2 + b1 a2*), rows of width 2w."""
+    if len(ab) % 2:
+        one = np.zeros((1, 2, ab.shape[-1]), dtype=np.complex128)
+        one[0, 0, -1] = 1.0  # a = 1, b = 0
+        ab = np.concatenate([ab, one])
+    left, right = ab[0::2], ab[1::2]
+    # (a2, b2) and, reversed and conjugated, ((z^w b2)* from frequency
+    # -2w-1, a2* from 0), so that each product lands on its row's grid
+    other = np.stack([right, np.conj(right[:, ::-1, ::-1])], axis=1)
+    prod = convolve(left[:, :, None], other)
+    out = np.empty((len(left), 2, prod.shape[-1]), dtype=np.complex128)
+    np.subtract(prod[:, 0, 0], prod[:, 1, 0], out[:, 0])
+    np.add(prod[:, 0, 1], prod[:, 1, 1], out[:, 1])
+    out[:, 1, -1] = 0  # b's frequency 2w + 1, zero but for rounding
+    return out
 
 
 def to_polys(pair: NLFSPair, tol: float = 1e-9):
@@ -343,7 +403,7 @@ def measure_from_pair(a: LaurentPoly, b: LaurentPoly, m: int = 8192) -> CircleMe
     samples = w_from_ab(a, b, m)
     mu = CircleMeasure.from_samples(samples, kind="nlfs-density")
     c0 = np.mean(samples)
-    if abs(c0 - 1.0) > 1e-8:
+    if not abs(c0 - 1.0) <= 1e-8:  # a NaN fails
         raise HypothesisError(f"density does not normalize: c_0 = {c0:.10f}")
     return mu
 

@@ -120,7 +120,7 @@ def extract_coeffs(Phi, PhiTilde):
     for n in range(n_max + 1):
         for lad in (Phi, PhiTilde):
             p = lad[n]
-            if p.hi != n or abs(p[n] - 1) > 1e-8:
+            if p.hi != n or not abs(p[n] - 1) <= 1e-8:  # a NaN fails
                 raise MalformedLadderError(f"entry {n} is not monic of degree {n}")
     F = np.array([np.conj(Phi[n][0]) for n in range(1, n_max + 1)])
     Ftilde = np.array([np.conj(PhiTilde[n][0]) for n in range(1, n_max + 1)])

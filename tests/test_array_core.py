@@ -163,6 +163,66 @@ def test_forward_matches_reference_bitwise(n, kind):
     assert _same(got.a, ref.a) and _same(got.b, ref.b)
 
 
+def _forward_seq(F):
+    """forward as one step loop over all n factors, before it became a tree."""
+    F = np.asarray(F, dtype=np.complex128)
+    n = len(F)
+    invs = [1.0 / np.sqrt(1.0 + abs(f) ** 2) for f in F]
+    a = np.zeros(n + 1, dtype=np.complex128)
+    b = np.zeros(n, dtype=np.complex128)
+    a[n] = 1.0
+    work = np.empty(n, dtype=np.complex128)
+    # out is passed by position, which numpy parses faster than a keyword
+    for j, (f, fc, inv) in enumerate(zip(F, np.conj(F), invs), start=1):
+        aj, bj, t = a[n + 1 - j :], b[:j], work[:j]
+        np.multiply(aj, f, t)
+        np.add(t, bj, t)  # F_j z^j a + b, before a changes
+        np.multiply(bj, fc, bj)
+        np.subtract(aj, bj, aj)
+        np.multiply(aj, inv, aj)
+        np.multiply(t, inv, bj)
+    return NLFSPair(LaurentPoly(a, -n), LaurentPoly(b, 1), n)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real"])
+def test_forward_leaf_is_the_step_loop_bitwise(kind):
+    # up to nlfs.LEAF factors forward is one leaf, stepped as before
+    for n in range(nlfs.LEAF + 1):
+        F = _draw(n, kind, seed=9)
+        got, ref = forward(F), _forward_seq(F)
+        assert _same(got.a, ref.a) and _same(got.b, ref.b)
+
+
+# n = 300 is five leaves, an odd count at two levels; at n = 16384 only
+# the small radius: at 0.8 and 1.2 a_0 underflows to 1e-323 and the step
+# loop crawls through subnormals for 8-15 s
+@pytest.mark.parametrize(
+    "n,radius",
+    [(n, r) for n in (65, 127, 129, 300, 1000, 2048) for r in (0.05, 0.8, 1.2)] + [(16384, 0.05)],
+)
+def test_forward_tree_matches_step_loop(n, radius):
+    rng = np.random.default_rng([n, int(100 * radius)])
+    F = radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    F[:3] = 0  # leading,
+    F[n // 2 : n // 2 + 9] = 0  # interior
+    if n > 65:  # at n = 65 a trailing zero would leave a single leaf
+        F[-5:] = 0  # and trailing zero runs
+    got, ref = forward(F), _forward_seq(F)
+    assert got.n == n
+    assert np.max(np.abs(got.a.window(-n, 0) - ref.a.window(-n, 0))) <= 1e-14
+    assert np.max(np.abs(got.b.window(1, n) - ref.b.window(1, n))) <= 1e-14
+
+
+def test_forward_tree_keeps_su2_and_a0_at_n4096():
+    rng = np.random.default_rng(4096)
+    F = 0.05 * np.sqrt(rng.uniform(size=4096)) * np.exp(2j * np.pi * rng.uniform(size=4096))
+    pair = forward(F)
+    assert pair.a.lo == -4096 and pair.b.hi == 4096
+    assert su2_residual(pair.a, pair.b) <= 1e-12
+    a0 = np.exp(-0.5 * np.sum(np.log1p(np.abs(F) ** 2)))
+    assert abs(pair.a[0] - a0) <= 1e-14 * a0
+
+
 @pytest.mark.parametrize("kind", ["complex", "real"])
 @pytest.mark.parametrize("n", SIZES)
 def test_layer_strip_matches_reference_bitwise(n, kind):
@@ -349,9 +409,13 @@ def test_planted_spill_fails_closed(monkeypatch, peel, step, entry, value):
 # -- byte guard of the series path ---------------------------------------------
 
 # sha256 of forward, layer_strip, every ladder row and ladder_eval at
-# n = 512, seed 0, written by the per-step array code before the steps
-# were fused in place
-SERIES_DIGEST = "ddb1ae2d3650203e00d9c7e900efd4919d72f738863ea0eccd4debf503dd2852"
+# n = 512, seed 0.  Re-pinned when forward became a tree: n = 512 is eight
+# leaves joined by FFT products, so the pair moved by rounding (at most
+# 4.4e-16 per coefficient, and the stripped F by 1.6e-16).  With the step
+# loop _forward_seq in its place the digest is still the one the per-step
+# array code wrote before the steps were fused in place,
+# ddb1ae2d3650203e00d9c7e900efd4919d72f738863ea0eccd4debf503dd2852.
+SERIES_DIGEST = "46124bcbfe0a30b04d1d9c58251095694f9381415fed3c6ab6bc8193b0a55559"
 
 
 def test_series_path_bytes_pinned():

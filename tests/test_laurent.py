@@ -134,6 +134,19 @@ def test_convolve_paths_agree():
     assert np.allclose(convolve(a, b), np.convolve(a, b), atol=1e-9)
 
 
+@pytest.mark.parametrize("la,lb", [(3, 5), (65, 65), (200, 100)])
+def test_convolve_stacked_rows(la, lb):
+    # leading axes broadcast; short rows too go through the batched FFT
+    rng = np.random.default_rng(la)
+    a = rng.normal(size=(3, 1, la)) + 1j * rng.normal(size=(3, 1, la))
+    b = rng.normal(size=(3, 2, lb)) + 1j * rng.normal(size=(3, 2, lb))
+    got = convolve(a, b)
+    assert got.shape == (3, 2, la + lb - 1)
+    for i in range(3):
+        for j in range(2):
+            assert np.allclose(got[i, j], np.convolve(a[i, 0], b[i, j]), rtol=0, atol=1e-12)
+
+
 def test_roots_of_simple_factorization():
     p = (Z - 0.5) * (Z + 2j) * (Z - 1)
     roots = sorted(p.roots(), key=lambda r: (r.real, r.imag))

@@ -228,6 +228,10 @@ def test_check_normalization():
     bad = CircleMeasure.uniform().scaled(2.0)
     with pytest.raises(DomainError):
         bad.check_normalization()
+    # a NaN c_0 passes |c_0 - 1| > tol, so the check is written the other way
+    nan = CircleMeasure.from_samples(np.array([1.0, np.nan, 1.0, 1.0]))
+    with pytest.raises(DomainError):
+        nan.check_normalization()
 
 
 def test_pairing_against_uniform():

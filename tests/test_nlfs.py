@@ -73,6 +73,22 @@ def test_validate_rejects_bad_supports():
         NLFSPair(good.a.scale(2), good.b, 1).validate()
 
 
+def _nan_in_a(pair):
+    c = pair.a.coeffs.copy()
+    c[len(c) // 2] = np.nan
+    return LaurentPoly(c, pair.a.lo)
+
+
+def test_validate_rejects_nan():
+    # a NaN residual passes res > tol, so the check is written the other way
+    pair = forward(_random_F(np.random.default_rng(8), 6, 0.3))
+    bad = NLFSPair(_nan_in_a(pair), pair.b, pair.n)
+    with pytest.raises(MalformedPairError):
+        bad.validate()
+    with pytest.raises(MalformedPairError):
+        to_polys(bad)
+
+
 def test_to_polys_matches_ladder():
     rng = np.random.default_rng(4)
     F = _random_F(rng, 10)
@@ -196,6 +212,12 @@ def test_measure_from_pair_normalizes():
     pair = forward(_random_F(rng, 5, 0.1))
     mu = measure_from_pair(pair.a, pair.b, 1024)
     assert abs(np.mean(mu.samples) - 1.0) < 1e-8
+
+
+def test_measure_from_pair_rejects_nan():
+    pair = forward(_random_F(np.random.default_rng(7), 5, 0.1))
+    with np.errstate(invalid="ignore"), pytest.raises(HypothesisError):
+        measure_from_pair(_nan_in_a(pair), pair.b, 1024)
 
 
 def test_convergence_functional_mu_r():

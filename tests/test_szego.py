@@ -129,6 +129,10 @@ def test_extract_rejects_nonmonic():
         extract_coeffs([sys.phi[0], sys.phi[1]], [sys.phitilde[0], sys.phitilde[1]])
     with pytest.raises(MalformedLadderError):
         extract_coeffs([sys.monic(0)], [sys.monic_tilde(0), sys.monic_tilde(1)])
+    # a NaN leading coefficient passes |c - 1| > tol: written the other way
+    nan_top = LaurentPoly([sys.monic(1)[0], np.nan])
+    with pytest.raises(MalformedLadderError):
+        extract_coeffs([sys.monic(0), nan_top], [sys.monic_tilde(0), sys.monic_tilde(1)])
 
 
 def test_heine_matches_recurrence_for_mu_r():
