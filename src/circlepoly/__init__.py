@@ -22,31 +22,12 @@ from .szego import (
 )
 from .nlfs import (
     NLFSPair,
-    convergence_functional,
     forward,
-    from_polys,
     layer_strip,
     layer_strip_truncated,
     measure_from_pair,
     outer_from_modulus,
-    to_polys,
     w_from_ab,
-)
-from .kernels import (
-    KernelEval,
-    UniversalityRecord,
-    dirichlet,
-    k_cd,
-    k_direct,
-    reproduce_check,
-    universality_gap,
-)
-from .localparams import (
-    LocalParams,
-    ab_diagnostics,
-    local_approx_error,
-    local_params,
-    zero_distance,
 )
 
 __version__ = "0.1.0"

@@ -20,7 +20,6 @@ from .errors import (
     DomainError,
     HypothesisError,
     NearSingularMomentError,
-    RootRefinementError,
     StrippingError,
     ToleranceError,
 )
@@ -73,12 +72,7 @@ def main(argv=None) -> int:
     except HypothesisError as e:
         print(f"hypothesis violated: {e}", file=sys.stderr)
         return 3
-    except (
-        ToleranceError,
-        StrippingError,
-        NearSingularMomentError,
-        RootRefinementError,
-    ) as e:
+    except (ToleranceError, StrippingError, NearSingularMomentError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 4
     if code == 3:

@@ -53,9 +53,5 @@ class HypothesisError(CirclepolyError):
     """A theorem hypothesis required by an operation is violated."""
 
 
-class RootRefinementError(CirclepolyError):
-    """Root finding produced a root with unacceptable residual."""
-
-
 class ConfigError(CirclepolyError):
     """Malformed experiment configuration."""

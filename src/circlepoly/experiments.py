@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__
 from ._accel import ladder_eval
 from .errors import ConfigError, HypothesisError
-from .kernels import gap_and_bound
 from .laurent import LaurentPoly, coeffs_to_json
 from .measures import (
     MAX_QUAD_NODES,
@@ -148,7 +147,7 @@ def _sample_points(cfg, rng) -> np.ndarray:
     """Circle points from {"explicit": [[re,im],...]} or {"count": N}."""
     spec = cfg.get("points", {"count": 64})
     if isinstance(spec, dict) and "explicit" in spec:
-        pts = _complex_list(spec["explicit"], "points.explicit")
+        pts = _complex_list(_list(spec["explicit"], "points.explicit"), "points.explicit")
         if not on_circle(pts):
             raise ConfigError("explicit points must lie on the unit circle")
         return pts
@@ -240,6 +239,11 @@ UNIVERSALITY_DEFAULTS = {
     "C": 2.0,
     "quadrature_m": 65536,
 }
+
+
+def gap_and_bound(ws, kn, dn, n: int, C: float, lval: float):
+    """(1/(n+1))|conj(w(s)) K_n - D_n| and the bound exp(30C) L it is held to."""
+    return abs(np.conj(ws) * kn - dn) / (n + 1), float(np.exp(30.0 * C)) * lval
 
 
 def run_universality(cfg, outdir, seed: int) -> int:
@@ -435,6 +439,10 @@ def run_thm5(cfg, outdir, seed: int) -> int:
     cfg["seed"] = seed
     if "b" not in cfg:
         raise ConfigError("thm5 config needs 'b': [[re,im],...] (frequencies 1..)")
+    # CircleMeasure.from_samples needs this at the end of the run; refuse it before any work
+    m = _int(cfg["grid_m"], "grid_m", 2)
+    if m & (m - 1):
+        raise ConfigError("grid_m must be a power of two >= 2")
     bc = _complex_list(cfg["b"], "b")
     if len(bc) == 0:
         raise ConfigError("b must have at least one coefficient")
@@ -447,7 +455,6 @@ def run_thm5(cfg, outdir, seed: int) -> int:
     ortho_m = _int(cfg["ortho_quadrature"], "ortho_quadrature")
     degree_cap = _int(cfg["degree_cap"], "degree_cap", 0)
     b = LaurentPoly(bc, 1)
-    m = _int(cfg["grid_m"], "grid_m")
     nodes = circle_nodes(m)
     bv = b(nodes)
     sup_b = float(np.max(np.abs(bv)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, RootRefinementError
+from .errors import DomainError
 
 # Product-length crossover between direct and FFT convolution.
 FFT_THRESHOLD = 128
@@ -218,51 +218,6 @@ class LaurentPoly:
         if self.lo != 0:
             acc = acc * z_arr ** self.lo
         return acc if np.ndim(z) else complex(acc)
-
-    def derivative(self) -> "LaurentPoly":
-        if self.is_zero():
-            return self
-        ks = np.arange(self.lo, self.hi + 1)
-        return LaurentPoly(self.coeffs * ks, self.lo - 1)
-
-    # -- roots -------------------------------------------------------------
-
-    def roots(self) -> list[complex]:
-        """All roots (with multiplicity) of the polynomial part.
-
-        Factors out z^lo, computes companion-matrix eigenvalues and refines
-        each by at most 5 independent Newton steps (no deflation).
-        """
-        if self.is_zero():
-            raise DomainError("zero polynomial has no well-defined roots")
-        c = self.coeffs  # polynomial part: coefficients of z^0..z^d after factoring z^lo
-        d = len(c) - 1
-        if d == 0:
-            return []
-        scale = self.max_abs()
-        raw = np.roots(c[::-1])  # descending order for np.roots
-        poly = LaurentPoly(c, 0, trim=False)
-        dpoly = poly.derivative()
-        out = []
-        for r in raw:
-            r = complex(r)
-            best = r
-            best_res = abs(poly(r))
-            x = r
-            for _ in range(5):
-                dv = dpoly(x) if not dpoly.is_zero() else 0j
-                if dv == 0:
-                    break
-                x = x - poly(x) / dv
-                res = abs(poly(x))
-                if res < best_res:
-                    best, best_res = x, res
-            if best_res > 1e-8 * scale:
-                raise RootRefinementError(
-                    f"root residual {best_res:.3e} exceeds 1e-8 * {scale:.3e}"
-                )
-            out.append(best)
-        return out
 
 
 def _trim(c: np.ndarray, lo: int):

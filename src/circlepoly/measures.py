@@ -72,14 +72,11 @@ class CircleMeasure:
         for a closed-form density; read by FFT on the grid.
     """
 
-    def __init__(
-        self, density=None, atoms=(), kind="custom", normalization_tol=1e-6, samples=None
-    ):
+    def __init__(self, density=None, atoms=(), kind="custom", samples=None):
         self.density = density
         self.atoms = tuple((complex(p), complex(w)) for p, w in atoms)
         self.kind = kind
         self.samples = samples
-        self.normalization_tol = normalization_tol
         for p, _ in self.atoms:
             if not on_circle(p):
                 raise DomainError(f"atom at {p} is not on the unit circle")
@@ -223,13 +220,6 @@ class CircleMeasure:
         for p, wt in self.atoms:
             c += wt * p ** ks
         return c
-
-    def check_normalization(self, m: int = 4096) -> float:
-        """Return |c_0 - 1|; raise if it exceeds normalization_tol."""
-        err = abs(moment(self, 0, m) - 1.0)
-        if not err <= self.normalization_tol:  # a NaN fails
-            raise DomainError(f"measure not normalized: |c_0 - 1| = {err:.3e}")
-        return err
 
 
 def _refine(value, m: int):

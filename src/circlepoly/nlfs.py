@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import HypothesisError, MalformedPairError, StrippingError
 from .laurent import LaurentPoly, convolve
-from .measures import CircleMeasure, circle_nodes, on_circle
+from .measures import CircleMeasure, circle_nodes
 
 B_SUP_THRESHOLD = 2 ** -0.5
 
@@ -129,23 +129,6 @@ def _combine(ab):
     np.add(prod[:, 0, 1], prod[:, 1, 1], out[:, 1])
     out[:, 1, -1] = 0  # b's frequency 2w + 1, zero but for rounding
     return out
-
-
-def to_polys(pair: NLFSPair, tol: float = 1e-9):
-    """phi_n = z^n (a + b*), phitilde_n = z^n (a - b*)."""
-    pair.validate(tol)
-    bs = pair.b.star()
-    phi = (pair.a + bs).shift(pair.n)
-    phitilde = (pair.a - bs).shift(pair.n)
-    return phi, phitilde
-
-
-def from_polys(phi: LaurentPoly, phitilde: LaurentPoly, n: int, tol: float = 1e-9) -> NLFSPair:
-    a = (phi + phitilde).shift(-n).scale(0.5)
-    b = (phi - phitilde).shift(-n).scale(0.5).star()
-    pair = NLFSPair(a, b, n)
-    pair.validate(tol)
-    return pair
 
 
 def layer_strip(pair: NLFSPair, tol: float = 1e-9) -> np.ndarray:
@@ -406,14 +389,3 @@ def measure_from_pair(a: LaurentPoly, b: LaurentPoly, m: int = 8192) -> CircleMe
     if not abs(c0 - 1.0) <= 1e-8:  # a NaN fails
         raise HypothesisError(f"density does not normalize: c_0 = {c0:.10f}")
     return mu
-
-
-def convergence_functional(pair: NLFSPair, s: complex) -> complex:
-    """((a* + b)(a - b*))^2 at a circle point s.
-
-    Equals (star(phi_n) phitilde_n)^2(s) by the polynomial representation
-    of the pair."""
-    if not on_circle(s):
-        raise MalformedPairError("s must lie on the unit circle")
-    val = ((pair.a.star() + pair.b) * (pair.a - pair.b.star()))(complex(s))
-    return val ** 2

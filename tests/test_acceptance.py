@@ -18,11 +18,8 @@ from circlepoly import (
     circle_nodes,
     extract_coeffs,
     forward,
-    k_cd,
-    k_direct,
     ladder_from_coeffs,
     layer_strip,
-    local_params,
     measure_from_pair,
     monic_from_moments,
     pairing,
@@ -61,9 +58,16 @@ def test_criterion_01_exact_identities():
             p, q = sys.phi[m], sys.phitilde[m]
             det = p * p.star() + q * q.star() - 2
             worst = max(worst, det.max_abs())
+        # local parameters at s and s g, g = e^{i pi/n}: A = (phi_n(s) -
+        # phi_n(s g))/(2 s^n), B = (phi_n(s) + phi_n(s g))/2, the same for
+        # phitilde; |A|^2 + |B|^2 + |Atilde|^2 + |Btilde|^2 = 2
         s = np.exp(2j * np.pi * rng.uniform())
-        lp = local_params(sys, s, n)
-        worst = max(worst, abs(lp.sum_of_squares() - 2.0))
+        g = np.exp(1j * np.pi / n)
+        squares = 0.0
+        for poly in (sys.phi[n], sys.phitilde[n]):
+            p1, p2 = poly(s), poly(s * g)
+            squares += abs((p1 - p2) / (2 * s ** n)) ** 2 + abs((p1 + p2) / 2) ** 2
+        worst = max(worst, abs(squares - 2.0))
         pair = forward(F)
         a, b = pair.a, pair.b
         su2 = a * a.star() + b * b.star() - 1
@@ -71,6 +75,21 @@ def test_criterion_01_exact_identities():
         worst = max(worst, abs(a[0] - np.prod(1 + np.abs(F) ** 2) ** -0.5))
     assert worst <= 1e-10
     _ok(1, f"exact identities hold to {worst:.2e} over 50 random systems")
+
+
+def _k_direct(sys, n, z, lam):
+    """K_n(z, lam) = sum_{j<=n} phitilde_j(z) star(phi_j)(lam)."""
+    return sum(sys.phitilde[j](z) * sys.phi[j].star()(lam) for j in range(n + 1))
+
+
+def _k_cd(sys, n, z, lam):
+    """K_n(z, lam) by the Christoffel-Darboux quotient at degree n + 1."""
+    ps = sys.phi[n + 1].star()
+    num = (
+        z ** (n + 1) * lam ** (-n - 1) * ps(z) * sys.phitilde[n + 1](lam)
+        - sys.phitilde[n + 1](z) * ps(lam)
+    )
+    return num / (1.0 - z / lam)
 
 
 def test_criterion_02_christoffel_darboux_oracle():
@@ -82,7 +101,7 @@ def test_criterion_02_christoffel_darboux_oracle():
         sys = ladder_from_coeffs(F)
         z = (0.9 + 0.2 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
         lam = (0.9 + 0.2 * rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        diff = abs(k_cd(sys, n, z, lam).value - k_direct(sys, n, z, lam))
+        diff = abs(_k_cd(sys, n, z, lam) - _k_direct(sys, n, z, lam))
         worst = max(worst, diff)
     assert worst <= 1e-10
     _ok(2, f"quotient and direct-sum kernels agree to {worst:.2e} on 100 draws")

@@ -1,18 +1,15 @@
+"""The reproducing kernel K_n(z, lam) = sum_{j<=n} phitilde_j(z) star(phi_j)(lam),
+read from the ladder values the universality runner sums."""
+
+import os
+
 import numpy as np
 import pytest
 
-from circlepoly import (
-    CircleMeasure,
-    LaurentPoly,
-    Z,
-    dirichlet,
-    k_cd,
-    k_direct,
-    ladder_from_coeffs,
-    reproduce_check,
-    universality_gap,
-)
-from circlepoly.errors import DomainError
+from circlepoly import CircleMeasure, LaurentPoly, Z, ladder_from_coeffs, pairing
+from circlepoly._accel import ladder_eval
+from circlepoly.errors import ConfigError
+from circlepoly.experiments import read_csv, run_universality
 
 
 def _random_F(rng, n, radius):
@@ -20,46 +17,45 @@ def _random_F(rng, n, radius):
     return r * np.exp(2j * np.pi * rng.uniform(size=n))
 
 
-def test_dirichlet_values():
-    assert dirichlet(4, 1.0, 1.0) == 5.0
-    z, lam = np.exp(0.3j), np.exp(0.1j)
-    direct = sum((z / lam) ** j for j in range(6))
-    assert abs(dirichlet(5, z, lam) - direct) < 1e-13
-    with pytest.raises(DomainError):
-        dirichlet(3, 1.0, 0.0)
+def _kernel_rows(F, z, lam):
+    """K_0..K_N(z, lam) for circle points z and lam, N = len(F), summed
+    from ladder_eval values: star(phi_j)(lam) = conj(phi_j(lam)) on the
+    circle.  Also returns the ladder values (u, v) at (z, lam)."""
+    u, v = ladder_eval(F, np.array([z, lam]))
+    return np.cumsum(v[:, 0] * np.conj(u[:, 1])), u, v
 
 
 def test_zero_coeff_kernel_is_dirichlet():
-    sys = ladder_from_coeffs(np.zeros(8))
+    # the uniform measure's kernel is sum_j (z / lam)^j
     z, lam = np.exp(0.4j), np.exp(-0.2j)
+    k, _, _ = _kernel_rows(np.zeros(8, dtype=np.complex128), z, lam)
     for n in (0, 3, 7):
-        assert abs(k_direct(sys, n, z, lam) - dirichlet(n, z, lam)) < 1e-12
+        dirichlet = sum((z / lam) ** j for j in range(n + 1))
+        assert abs(k[n] - dirichlet) < 1e-12
 
 
 def test_cd_matches_direct():
+    # (1 - z/lam) K_n(z, lam) = z^{n+1} lam^{-n-1} star(phi_{n+1})(z)
+    # phitilde_{n+1}(lam) - phitilde_{n+1}(z) star(phi_{n+1})(lam)
     rng = np.random.default_rng(10)
-    sys = ladder_from_coeffs(_random_F(rng, 12, 0.6))
-    z, lam = 1.1 * np.exp(0.9j), 0.95 * np.exp(-0.4j)
-    for n in range(11):
-        ev = k_cd(sys, n, z, lam)
-        assert ev.route == "christoffel_darboux"
-        assert abs(ev.value - k_direct(sys, n, z, lam)) < 1e-10
+    F = _random_F(rng, 12, 0.6)
+    z, lam = np.exp(0.9j), np.exp(-0.4j)
+    k, u, v = _kernel_rows(F, z, lam)
+    for n in range(12):
+        m = n + 1
+        num = (z / lam) ** m * np.conj(u[m, 0]) * v[m, 1] - v[m, 0] * np.conj(u[m, 1])
+        assert abs(num / (1 - z / lam) - k[n]) < 1e-10
 
 
-def test_cd_falls_back_near_diagonal():
-    sys = ladder_from_coeffs(np.array([0.5, 0.2j]))
-    z = np.exp(0.5j)
-    ev = k_cd(sys, 1, z, z)
-    assert ev.route == "direct_sum"
-    assert abs(ev.value - k_direct(sys, 1, z, z)) < 1e-13
-
-
-def test_kernel_domain_errors():
-    sys = ladder_from_coeffs(np.array([0.5]))
-    with pytest.raises(DomainError):
-        k_direct(sys, 0, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        k_direct(sys, 5, 1.0, 1.0)
+def _reproduce_residual(sys, mu, n, f, lam):
+    """|<f, K_n(., lam)>_mu - f(lam)|.  The kernel is taken as
+    sum_j phitilde_j(z) conj(phi_j(lam)), so that its star in the pairing
+    is sum_j star(phitilde_j)(z) phi_j(lam) and the property holds off the
+    circle as well."""
+    k = LaurentPoly.zero()
+    for j in range(n + 1):
+        k = k + sys.phitilde[j].scale(np.conj(sys.phi[j](lam)))
+    return abs(pairing(f, k, mu, 4096) - f(lam))
 
 
 def test_reproducing_property_off_circle():
@@ -67,7 +63,7 @@ def test_reproducing_property_off_circle():
     mu = CircleMeasure.mu_r(0.5)
     f = 1 + 2 * Z + 0.5j * (Z * Z)
     for lam in (0.7 + 0.1j, np.exp(0.3j), 1.5):
-        assert reproduce_check(sys, mu, 3, f, lam) < 1e-8
+        assert _reproduce_residual(sys, mu, 3, f, lam) < 1e-8
 
 
 def test_reproducing_property_negative_control():
@@ -75,34 +71,30 @@ def test_reproducing_property_negative_control():
     sys = ladder_from_coeffs(np.array([0.5, 0, 0]))
     mu = CircleMeasure.mu_r(0.5)
     f = Z * Z * Z
-    assert reproduce_check(sys, mu, 2, f, 0.7 + 0.1j) > 1e-2
+    assert _reproduce_residual(sys, mu, 2, f, 0.7 + 0.1j) > 1e-2
 
 
-def test_universality_gap_uniform_is_zero():
-    sys = ladder_from_coeffs(np.zeros(16))
-    mu = CircleMeasure.uniform()
-    rec = universality_gap(sys, mu, 1j, 8, 2.0, m=4096)
-    assert rec.gap < 1e-13
-    assert rec.Lvalue == 0.0
-    assert rec.bound == 0.0
+def test_universality_gap_hypotheses(tmp_path):
+    # the runner refuses n < 2C and points off the circle
+    base = {"degrees": [8], "points": {"explicit": [[0, 1]]}, "quadrature_m": 1024}
+    with pytest.raises(ConfigError):
+        run_universality({**base, "degrees": [2]}, str(tmp_path), 0)
+    with pytest.raises(ConfigError):
+        run_universality({**base, "points": {"explicit": [[1.5, 0]]}}, str(tmp_path), 0)
+    assert not os.path.exists(tmp_path / "universality.csv")
 
 
-def test_universality_gap_hypotheses():
-    sys = ladder_from_coeffs(np.zeros(16))
-    mu = CircleMeasure.uniform()
-    with pytest.raises(DomainError):
-        universality_gap(sys, mu, 1.5, 8, 2.0)
-    with pytest.raises(DomainError):
-        universality_gap(sys, mu, 1j, 2, 2.0)
-    with pytest.raises(DomainError):
-        universality_gap(sys, mu, 1j, 8, 2.0, z=1j + 1.0)
-
-
-def test_universality_gap_mu_r_decays():
-    sys = ladder_from_coeffs(np.concatenate([[0.5], np.zeros(63)]))
-    mu = CircleMeasure.mu_r(0.5)
-    r8 = universality_gap(sys, mu, 1j, 8, 2.0, m=16384)
-    r64 = universality_gap(sys, mu, 1j, 64, 2.0, m=16384)
-    assert r64.gap < r8.gap
-    assert r8.gap <= r8.bound
-    assert r64.gap <= r64.bound
+def test_universality_gap_mu_r_decays(tmp_path):
+    cfg = {
+        "measure": {"kind": "mu_r", "r": 0.5},
+        "degrees": [8, 64],
+        "points": {"explicit": [[0, 1]]},
+        "quadrature_m": 16384,
+    }
+    assert run_universality(cfg, str(tmp_path), 0) == 0
+    columns, rows = read_csv(tmp_path / "universality.csv")
+    n, gap, bound = (columns.index(c) for c in ("n", "gap", "bound"))
+    by_n = {int(row[n]): row for row in rows}
+    assert by_n[64][gap] < by_n[8][gap]
+    for row in rows:
+        assert row[gap] <= row[bound]

@@ -204,6 +204,15 @@ def test_thm5_rejects_supercritical_b(tmp_path):
     assert not report["accepted"]
 
 
+@pytest.mark.parametrize("grid_m", [1, 3])
+def test_thm5_grid_m_must_be_power_of_two(tmp_path, capsys, grid_m):
+    # refused by name before the outer completion and the stripping run
+    code, out = _run(tmp_path, "thm5", {"b": [[0.3, 0.0]], "grid_m": grid_m})
+    assert code == 2
+    assert "grid_m" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "thm5_report.json"))
+
+
 def test_roundtrip_smoke(tmp_path):
     code, out = _run(tmp_path, "roundtrip", {"trials": 2, "n": 16, "extract_n": 8})
     assert code == 0
@@ -456,6 +465,9 @@ def test_empty_grid_configs_rejected(tmp_path, command, cfg):
         ("lacunary", {"degrees": {"base": 1e200, "count": 2}}, "lacunary.csv"),
         ("universality", {"degrees": [8, 1e12]}, "universality.csv"),
         ("fejer", {"degrees": [8, 1e12]}, "fejer.csv"),
+        # an empty explicit point list is refused, not run on no points
+        ("lacunary", {"points": {"explicit": []}}, "lacunary.csv"),
+        ("universality", {"points": {"explicit": []}}, "universality.csv"),
     ],
 )
 def test_nonpositive_sizes_rejected(tmp_path, command, cfg, artifact):

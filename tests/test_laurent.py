@@ -120,13 +120,6 @@ def test_eval_vectorized_matches_scalar():
         assert abs(p(complex(z)) - v) < 1e-14
 
 
-def test_derivative():
-    p = LaurentPoly([3, 0, 1], lo=-1)  # 3/z + z
-    d = p.derivative()
-    assert d[-2] == -3
-    assert d[0] == 1
-
-
 def test_convolve_paths_agree():
     rng = np.random.default_rng(0)
     a = rng.normal(size=FFT_THRESHOLD) + 1j * rng.normal(size=FFT_THRESHOLD)
@@ -145,25 +138,3 @@ def test_convolve_stacked_rows(la, lb):
     for i in range(3):
         for j in range(2):
             assert np.allclose(got[i, j], np.convolve(a[i, 0], b[i, j]), rtol=0, atol=1e-12)
-
-
-def test_roots_of_simple_factorization():
-    p = (Z - 0.5) * (Z + 2j) * (Z - 1)
-    roots = sorted(p.roots(), key=lambda r: (r.real, r.imag))
-    expect = sorted([0.5, -2j, 1.0], key=lambda r: (r.real, r.imag))
-    for r, e in zip(roots, expect):
-        assert abs(r - e) < 1e-10
-
-
-def test_roots_ignore_z_power_prefactor():
-    # the z^lo prefactor is factored out before root finding
-    p = (Z - 0.25) * Z
-    roots = p.roots()
-    assert len(roots) == 1
-    assert abs(roots[0] - 0.25) < 1e-12
-
-
-def test_roots_of_zero_polynomial():
-    with pytest.raises(DomainError):
-        LaurentPoly.zero().roots()
-    assert LaurentPoly([5]).roots() == []

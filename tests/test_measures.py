@@ -223,17 +223,6 @@ def test_pairing_reads_moments():
     assert pairing(f, LaurentPoly.zero(), mu) == 0j
 
 
-def test_check_normalization():
-    assert CircleMeasure.mu_r(0.5).check_normalization() < 1e-10
-    bad = CircleMeasure.uniform().scaled(2.0)
-    with pytest.raises(DomainError):
-        bad.check_normalization()
-    # a NaN c_0 passes |c_0 - 1| > tol, so the check is written the other way
-    nan = CircleMeasure.from_samples(np.array([1.0, np.nan, 1.0, 1.0]))
-    with pytest.raises(DomainError):
-        nan.check_normalization()
-
-
 def test_pairing_against_uniform():
     mu = CircleMeasure.uniform()
     # <z^j, z^k> = delta_{jk} under the uniform measure

@@ -6,15 +6,12 @@ from circlepoly import (
     LaurentPoly,
     NLFSPair,
     circle_nodes,
-    convergence_functional,
     forward,
-    from_polys,
     ladder_from_coeffs,
     layer_strip,
     layer_strip_truncated,
     measure_from_pair,
     outer_from_modulus,
-    to_polys,
     w_from_ab,
 )
 from circlepoly.errors import HypothesisError, MalformedPairError, StrippingError
@@ -85,27 +82,17 @@ def test_validate_rejects_nan():
     bad = NLFSPair(_nan_in_a(pair), pair.b, pair.n)
     with pytest.raises(MalformedPairError):
         bad.validate()
-    with pytest.raises(MalformedPairError):
-        to_polys(bad)
 
 
-def test_to_polys_matches_ladder():
+def test_forward_matches_ladder_polys():
+    # phi_n = z^n (a + b*) and phitilde_n = z^n (a - b*)
     rng = np.random.default_rng(4)
     F = _random_F(rng, 10)
     sys = ladder_from_coeffs(F)
     pair = forward(F)
-    phi, phitilde = to_polys(pair)
-    assert (phi - sys.phi[10]).max_abs() < 1e-12
-    assert (phitilde - sys.phitilde[10]).max_abs() < 1e-12
-
-
-def test_from_polys_roundtrip():
-    rng = np.random.default_rng(5)
-    pair = forward(_random_F(rng, 8))
-    phi, phitilde = to_polys(pair)
-    pair2 = from_polys(phi, phitilde, 8)
-    assert (pair2.a - pair.a).max_abs() < 1e-12
-    assert (pair2.b - pair.b).max_abs() < 1e-12
+    bs = pair.b.star()
+    assert ((pair.a + bs).shift(10) - sys.phi[10]).max_abs() < 1e-12
+    assert ((pair.a - bs).shift(10) - sys.phitilde[10]).max_abs() < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -218,14 +205,3 @@ def test_measure_from_pair_rejects_nan():
     pair = forward(_random_F(np.random.default_rng(7), 5, 0.1))
     with np.errstate(invalid="ignore"), pytest.raises(HypothesisError):
         measure_from_pair(_nan_in_a(pair), pair.b, 1024)
-
-
-def test_convergence_functional_mu_r():
-    # (phi* phitilde)(s) = conj(1/w_r(s)) once n >= 1, so the square matches
-    r = 0.5
-    pair = forward(np.array([r]))
-    s = np.exp(0.7j)
-    w = (1 + r * r) / (1 - r * r - 2j * r * np.imag(s))
-    assert abs(convergence_functional(pair, s) - np.conj(1 / w) ** 2) < 1e-12
-    with pytest.raises(MalformedPairError):
-        convergence_functional(pair, 2.0)
