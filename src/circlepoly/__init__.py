@@ -8,7 +8,6 @@ from .measures import (
     l_functional,
     l_functional_table,
     measure_from_json,
-    moment,
     pairing,
 )
 from .szego import (

@@ -29,6 +29,7 @@ from itertools import repeat
 import numpy as np
 
 from .measures import on_circle
+from .nlfs import squares_and_inv_rho
 
 # there is no compiled path; kept for callers that report the backend
 USE_NUMBA = False
@@ -66,7 +67,7 @@ def ladder_eval(F, s):
     # numpy divides a complex by a real rho as by rho + 0j, which multiplies
     # by the reciprocal 1/rho; multiplying by it directly is several times
     # faster and gives the same bits, but for the sign of a zero part
-    invs = np.array([1.0 / np.sqrt(1.0 + abs(f) ** 2) for f in F[:top]], dtype=np.complex128)
+    invs = squares_and_inv_rho(F[:top])[1].astype(np.complex128)
     spow = np.ones((2, p), dtype=np.complex128)  # (s^k, -s^k)
     spow[1] = -1.0
     done = 0

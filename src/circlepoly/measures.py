@@ -254,11 +254,6 @@ def _resample(samples: np.ndarray, m: int) -> np.ndarray:
     return np.fft.ifft(padded) * (m / n)
 
 
-def moment(mu: CircleMeasure, j: int, m: int = 256) -> complex:
-    """j-th moment c_j = integral of z^j dμ, read from ``mu.moments``."""
-    return complex(mu.moments(abs(j), m)[abs(j) + j])
-
-
 def pairing(f: LaurentPoly, g: LaurentPoly, mu: CircleMeasure, m: int = 256) -> complex:
     """Sesquilinear pairing: integral of h = f * star(g) dμ, i.e. Σ_k h_k c_k."""
     h = f * g.star()

@@ -48,6 +48,23 @@ def su2_residual(a: LaurentPoly, b: LaurentPoly) -> float:
 LEAF = 64
 
 
+def squares_and_inv_rho(F, sign=1.0):
+    """|F_j|^2 and 1/rho_j = 1/sqrt(1 + sign |F_j|^2) for each entry of F,
+    as float arrays shaped like F, bit for bit the scalar abs(f) ** 2 and
+    1.0 / np.sqrt(1.0 + sign * abs(f) ** 2).
+
+    np.hypot is the scalar complex abs, but the square must stay a scalar
+    power: numpy's array square rounds differently from pow(x, 2) in the
+    last bit of about one draw in a thousand."""
+    h = np.hypot(F.real, F.imag).ravel()
+    try:
+        sq = [x ** 2 for x in h.tolist()]
+    except OverflowError:  # a float |F_j| beyond sqrt(max); numpy's goes to inf
+        sq = [x ** 2 for x in h]
+    sq = np.reshape(np.array(sq, dtype=np.float64), F.shape)
+    return sq, 1.0 / np.sqrt(1.0 + sign * sq)
+
+
 def forward(F) -> NLFSPair:
     """Multiply the matrix factors left to right.
 
@@ -89,7 +106,7 @@ def _leaves(F):
     (F_j z^j a + b) / rho) with rho = sqrt(1+|F_j|^2), in place for
     every column at once."""
     m = len(F)
-    invs = np.reshape([1.0 / np.sqrt(1.0 + abs(f) ** 2) for f in F.flat], F.shape)
+    _, invs = squares_and_inv_rho(F)
     a = np.zeros((m + 1, F.shape[1]), dtype=np.complex128)
     b = np.zeros(F.shape, dtype=np.complex128)
     a[m] = 1.0

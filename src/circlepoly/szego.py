@@ -1,20 +1,24 @@
 """Monic and normalized left/right orthogonal polynomial ladders.
 
 Two construction routes: the recurrence from coefficient sequences
-(production path) and the two-sided Szegő recursion on a measure's moment
-vector (cross-validation route, O(n^2)).  Heine's determinant formula
-stays in the tests as the independent oracle for the second.
+(production path; a single Tminus row is read from the SU(2) pair
+instead, see ``OrthoSystem``) and the two-sided Szegő recursion on a
+measure's moment vector (cross-validation route, O(n^2)).  Heine's
+determinant formula stays in the tests as the independent oracle for the
+second.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, MalformedLadderError, NearSingularMomentError
 from .laurent import LaurentPoly
-from .measures import CircleMeasure, circle_nodes
+from .measures import CircleMeasure
+from .nlfs import forward, squares_and_inv_rho
 
 T_MINUS = "Tminus"
 T_PLUS = "Tplus"
@@ -26,65 +30,128 @@ CLASS_TOL = 1e-9
 SPILL_TOL = 1e-12
 
 
-@dataclass
+@dataclass(eq=False)
 class OrthoSystem:
-    """Coefficient sequence and the normalized polynomial ladders.
+    """Coefficient sequence of a ladder, its monic pairings, and the
+    normalized left/right polynomials read from it on demand.
+
+    norms[n] is the monic pairing ∏_{j<=n}(1+|F_j|^2) for the Tminus
+    convention (∏(1-|F_j|^2) for Tplus).  The right ladder's coefficients
+    are -F (Tminus) or F (Tplus).
 
     phi[n] and phitilde[n] are the normalized left/right polynomials of
-    degree n; norms[n] is the monic pairing ∏_{j<=n}(1+|F_j|^2) for the
-    Tminus convention (∏(1-|F_j|^2) for Tplus).  The right ladder's
-    coefficients are -F (Tminus) or F (Tplus).
+    degree n.  Read by an integer index on a Tminus system, a row comes
+    from the SU(2) pair (a, b) = forward(F[:n]) as z^n (a + b*) (phi) or
+    z^n (a - b*) (phitilde), in O(n log n), and no other row is built.
+    Iterating or slicing phi or phitilde, ``monic``, ``ladder`` and every
+    all-row reader in this module read the packed ladder instead, which
+    is built on first use and kept; a Tplus system reads every row from it.
     """
 
     F: np.ndarray
-    phi: list
-    phitilde: list
     norms: np.ndarray
     class_tag: str = T_MINUS
+    # 1/rho per step, formed with norms for the packed ladder's build
+    _invs: np.ndarray = field(default=None, repr=False)
+    _rows: tuple = field(default=None, init=False, repr=False)
+    _pair: tuple = field(default=None, init=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.F)
 
+    @property
+    def phi(self) -> _Rows:
+        return _Rows(self, 0)
+
+    @property
+    def phitilde(self) -> _Rows:
+        return _Rows(self, 1)
+
+    def ladder(self) -> tuple:
+        """The lists (phi, phitilde) of all rows, from the packed ladder."""
+        if self._rows is None:
+            self._rows = _packed_ladder(self.F, self._invs, self.class_tag)
+        return self._rows
+
+    def _row(self, side: int, n: int) -> LaurentPoly:
+        """Row n of phi (side 0) or phitilde (side 1), by the SU(2) pair
+        of F[:n] on a Tminus system; the pair is kept for the other side."""
+        n = operator.index(n)
+        if n < 0:
+            n += self.size + 1
+        if not 0 <= n <= self.size:
+            raise IndexError(f"row {n} of a ladder over degrees 0..{self.size}")
+        if self.class_tag != T_MINUS:
+            return self.ladder()[side][n]
+        if self._pair is None or self._pair[0] != n:
+            pair = forward(self.F[:n])
+            self._pair = (n, pair.a, pair.b.star())
+        _, a, bs = self._pair
+        return (a + bs if side == 0 else a - bs).shift(n)
+
     def monic(self, n: int) -> LaurentPoly:
-        return self.phi[n] * np.sqrt(self.norms[n])
+        return self.ladder()[0][n] * np.sqrt(self.norms[n])
 
     def monic_tilde(self, n: int) -> LaurentPoly:
-        return self.phitilde[n] * np.sqrt(self.norms[n])
+        return self.ladder()[1][n] * np.sqrt(self.norms[n])
+
+
+class _Rows:
+    """One side of an OrthoSystem's ladder as a read-only sequence: an
+    integer index reads one row (``OrthoSystem._row``), iterating and
+    slicing read the packed ladder."""
+
+    __slots__ = ("_sys", "_side")
+
+    def __init__(self, sys: OrthoSystem, side: int):
+        self._sys, self._side = sys, side
+
+    def __len__(self) -> int:
+        return self._sys.size + 1
+
+    def __iter__(self):
+        return iter(self._sys.ladder()[self._side])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return self._sys.ladder()[self._side][k]
+        return self._sys._row(self._side, k)
 
 
 def ladder_from_coeffs(F, cls: str = T_MINUS) -> OrthoSystem:
-    """Build the normalized ladder from recursion coefficients.
+    """The system of recursion coefficients F in class cls: F is checked
+    and the norms formed in one O(n) pass; rows are built when read (see
+    ``OrthoSystem``).
 
+    The packed ladder runs the recursion
     phi_{n+1} = (z phi_n + z^n conj(F_{n+1}) star(phitilde_n)) / rho,
     phitilde_{n+1} = (z phitilde_n -+ z^n conj(F_{n+1}) star(phi_n)) / rho,
     with the minus sign and rho = sqrt(1+|F|^2) for the Tminus class, plus
     sign and rho = sqrt(1-|F|^2) for Tplus.
-
-    The rows of phi and phitilde over degrees 0..n are filled in place into
-    one packed triangular buffer (row n starts at n(n+1)/2), which is then
-    made read-only; phi[n] and phitilde[n] are views into it, so a single
-    row kept alive keeps the whole buffer alive.
     """
     F = np.asarray(F, dtype=np.complex128)
     if cls not in (T_MINUS, T_PLUS):
         raise DomainError(f"class must be {T_MINUS} or {T_PLUS}")
-    sign = -1.0 if cls == T_MINUS else 1.0
     if cls == T_PLUS and np.any(np.abs(F) >= 1):
         raise DomainError("Tplus recursion requires |F_j| < 1")
+    sign = -1.0 if cls == T_PLUS else 1.0
+    sq, invs = squares_and_inv_rho(F, sign)
+    # cumprod is the sequential product norms[n] * (1 -+ |F_{n+1}|^2)
+    norms = np.cumprod(np.concatenate(([1.0], 1.0 + sign * sq)))
+    return OrthoSystem(F=F, norms=norms, class_tag=cls, _invs=invs)
+
+
+def _packed_ladder(F, invs, cls) -> tuple:
+    """Rows of phi and phitilde over degrees 0..n, filled in place into one
+    packed triangular buffer (row n starts at n(n+1)/2), which is then
+    made read-only; the rows are LaurentPoly views into it, so a single
+    row kept alive keeps the whole buffer alive."""
     size = len(F)
-    norms = np.empty(size + 1)
-    norms[0] = 1.0
-    invs = []
     # per step, conj(F) against phitilde's row and -+conj(F) against phi's
     coefs = np.empty((size, 2, 1), dtype=np.complex128)
-    for n, f in enumerate(F):
-        fsq = abs(f) ** 2
-        norms[n + 1] = norms[n] * (1 + fsq) if cls == T_MINUS else norms[n] * (1 - fsq)
-        invs.append(1.0 / (np.sqrt(1 + fsq) if cls == T_MINUS else np.sqrt(1 - fsq)))
-        fc = np.conj(f)
-        coefs[n, 0, 0] = fc
-        coefs[n, 1, 0] = sign * fc
+    coefs[:, 0, 0] = np.conj(F)
+    coefs[:, 1, 0] = (-1.0 if cls == T_MINUS else 1.0) * coefs[:, 0, 0]
     starts = np.arange(size + 2) * np.arange(1, size + 3) // 2
     rows = np.zeros((2, starts[-1]), dtype=np.complex128)  # phi, phitilde
     rows[:, 0] = 1.0
@@ -103,8 +170,7 @@ def ladder_from_coeffs(F, cls: str = T_MINUS) -> OrthoSystem:
         np.add(low, w, low)
         np.multiply(new, invs[n], new)
     rows.setflags(write=False)
-    phi, phitilde = (LaurentPoly.views(row, starts) for row in rows)
-    return OrthoSystem(F=F, phi=phi, phitilde=phitilde, norms=norms, class_tag=cls)
+    return tuple(LaurentPoly.views(row, starts) for row in rows)
 
 
 def extract_coeffs(Phi, PhiTilde):
@@ -215,25 +281,26 @@ def _dense(p: LaurentPoly, n: int) -> np.ndarray:
     return p.coeffs if p.lo == 0 and len(p.coeffs) == n + 1 else p.window(0, n)
 
 
-def _gram(left, right, T, scale=None) -> np.ndarray:
+def _coeff_matrix(polys, d) -> np.ndarray:
+    """Coefficient rows on degrees 0..d of polynomials of degree at most d."""
+    rows = np.zeros((len(polys), d + 1), dtype=np.complex128)
+    for j, p in enumerate(polys):
+        rows[j, p.lo : p.hi + 1] = p.coeffs
+    return rows
+
+
+def _gram(left, right, T) -> np.ndarray:
     """Pairings <left[j], right[k]>_mu = A T B^H of polynomials of degree
     at most d, from their coefficient rows A, B and the (d+1)x(d+1)
-    moment matrix T; with ``scale``, rows j of A and B are first
-    multiplied by scale[j]."""
+    moment matrix T."""
     d = len(T) - 1
-    A, B = (np.zeros((len(polys), d + 1), dtype=np.complex128) for polys in (left, right))
-    for rows, polys in ((A, left), (B, right)):
-        for j, p in enumerate(polys):
-            rows[j, p.lo : p.hi + 1] = p.coeffs
-    if scale is not None:
-        A *= scale[:, None]
-        B *= scale[:, None]
-    return A @ T @ B.conj().T
+    return _coeff_matrix(left, d) @ T @ _coeff_matrix(right, d).conj().T
 
 
 def _orthonormality(sys: OrthoSystem, T) -> float:
     d = len(T) - 1
-    gram = _gram(sys.phi[: d + 1], sys.phitilde[: d + 1], T)
+    phi, phitilde = sys.ladder()
+    gram = _gram(phi[: d + 1], phitilde[: d + 1], T)
     return float(np.max(np.abs(gram - np.eye(d + 1))))
 
 
@@ -248,16 +315,24 @@ def verify_system(
 ) -> SystemReport:
     """Check orthonormality, the on-circle determinant identity, and the
     monic pairing against the stored norms.  Failures are reported, not
-    raised."""
+    raised.
+
+    All three read the coefficient rows A, B of the stored ladders: the
+    Gram matrix A T B^H, the rows' values at the grid nodes (the grid-th
+    roots of unity) by one FFT per ladder, and the Gram diagonal of the
+    rows scaled by sqrt(norms)."""
     n_max = sys.size
     T = _moment_matrix(mu.moments(n_max, m), n_max)
-    ortho = _orthonormality(sys, T)
-    nodes = circle_nodes(grid)
-    det = float(np.max([
-        np.max(np.abs(np.abs(p(nodes)) ** 2 + np.abs(q(nodes)) ** 2 - 2.0))
-        for p, q in zip(sys.phi, sys.phitilde)
-    ]))
-    monic = np.diag(_gram(sys.phi, sys.phitilde, T, np.sqrt(sys.norms)))
+    A, B = (_coeff_matrix(rows, n_max) for rows in sys.ladder())
+    ortho = float(np.max(np.abs(A @ T @ B.conj().T - np.eye(n_max + 1))))
+    # a DFT of length size, a multiple of grid, evaluates the rows at the
+    # size-th roots of unity e^{-2 pi i k / size}; every (size/grid)-th of
+    # them is one of the grid nodes, which it visits in reverse order
+    size = grid * -(-(n_max + 1) // grid)
+    P, Q = (np.fft.fft(rows, size)[:, :: size // grid] for rows in (A, B))
+    det = float(np.max(np.abs(np.abs(P) ** 2 + np.abs(Q) ** 2 - 2.0)))
+    scale = np.sqrt(sys.norms)[:, None]
+    monic = np.diag((A * scale) @ T @ (B * scale).conj().T)
     norm = float(np.max(np.abs(monic - sys.norms)))
     return SystemReport(ortho, det, norm)
 
@@ -350,7 +425,8 @@ def _plancherel_sides(sys: OrthoSystem, pairs) -> list:
     if sys.class_tag != T_MINUS:
         raise DomainError("the Plancherel rhs sum log(1+|F|^2) is the Tminus one")
     used = {i for pair in pairs for i in pair}
-    rows = {i: (_dense(sys.phi[i], i), _dense(sys.phitilde[i], i)) for i in used}
+    phi, phitilde = sys.ladder()
+    rows = {i: (_dense(phi[i], i), _dense(phitilde[i], i)) for i in used}
     by_degree = {}
     for k, (l, m) in enumerate(pairs):
         by_degree.setdefault(m - l - 1, []).append((k, _plancherel_poly(*rows[l], *rows[m])))

@@ -28,7 +28,7 @@ from circlepoly import (
 )
 from circlepoly._accel import ladder_eval
 from circlepoly.errors import StrippingError
-from circlepoly.nlfs import su2_residual
+from circlepoly.nlfs import squares_and_inv_rho, su2_residual
 
 
 def _forward_ref(F):
@@ -344,12 +344,59 @@ def test_packed_rows_match_reference_bitwise(cls, which):
 @pytest.mark.parametrize("n", [0, 1, 2, 17])
 def test_packed_rows_are_read_only_views_of_one_buffer(n, cls):
     sys = ladder_from_coeffs(_draw(n, "complex", seed=5), cls)
-    base = sys.phi[0].coeffs.base
-    assert not base.flags.writeable
-    for row in sys.phi + sys.phitilde:
+    phi, phitilde = sys.ladder()
+    assert sys.ladder() is sys.ladder()  # built once and kept
+    base = phi[0].coeffs.base
+    assert base is not None and not base.flags.writeable
+    # every all-row reader: ladder(), iteration and slices of phi, phitilde
+    for row in [*phi, *phitilde, *sys.phi, *sys.phitilde, *sys.phi[1:], *sys.phitilde[::-1]]:
         assert row.coeffs.base is base  # a view, not a copy
         with pytest.raises(ValueError):
             row.coeffs[0] = 2.0
+
+
+def _wide_draws(n, seed, top=150):
+    """Complex draws with both parts' exponents uniform in [-150, top], with
+    exact zeros, signed zeros, NaNs and purely real and imaginary entries."""
+    rng = np.random.default_rng(seed)
+    re = rng.normal(size=n) * 10.0 ** rng.uniform(-150, top, n)
+    im = rng.normal(size=n) * 10.0 ** rng.uniform(-150, top, n)
+    F = re + 1j * im
+    F[::13] = re[::13]
+    F[::17] = 1j * im[::17]
+    F[::19] = 0
+    F[::23] = complex(-0.0, -0.0)
+    F[::29] = complex(np.nan, 0.5)
+    return F
+
+
+def test_squares_and_inv_rho_match_the_scalar_formula_bitwise():
+    disk = 0.9 * np.sqrt(np.random.default_rng(21).uniform(size=20000)) * np.exp(0.3j)
+    with np.errstate(over="ignore"):
+        for F, sign in [(_wide_draws(20000, 21), 1.0), (disk, 1.0), (disk, -1.0), (np.array([1e200, 3e-200j]), 1.0)]:
+            sq, inv = squares_and_inv_rho(F, sign)
+            assert sq.tobytes() == np.array([abs(f) ** 2 for f in F]).tobytes()
+            ref = np.array([1.0 / np.sqrt(1.0 + sign * abs(f) ** 2) for f in F])
+            assert inv.tobytes() == ref.tobytes()
+    # _leaves passes a two-dimensional block of factors
+    F = _wide_draws(64 * 3, 22).reshape(3, 64).T
+    assert squares_and_inv_rho(F)[1].tobytes() == squares_and_inv_rho(F.ravel())[1].reshape(F.shape).tobytes()
+
+
+@pytest.mark.parametrize("cls", ["Tminus", "Tplus"])
+def test_norms_are_the_sequential_product_bitwise(cls):
+    # exponents up to 0, so that the Tminus product stays finite over 4000 steps
+    F = _wide_draws(4000, 23, top=0.0)
+    F = F[~np.isnan(F)]
+    if cls == "Tplus":
+        F = F[np.abs(F) < 1]
+    ref = [1.0]
+    for f in F:
+        fsq = abs(f) ** 2
+        ref.append(ref[-1] * (1 + fsq) if cls == "Tminus" else ref[-1] * (1 - fsq))
+    norms = ladder_from_coeffs(F, cls).norms
+    assert np.isfinite(norms[-1]) and norms[-1] != 1.0
+    assert norms.tobytes() == np.array(ref).tobytes()
 
 
 def test_views_refuse_a_writeable_buffer():
@@ -363,7 +410,8 @@ def test_system_from_packed_buffer_verifies_at_n64():
     F = 0.02 * np.sqrt(rng.uniform(size=64)) * np.exp(2j * np.pi * rng.uniform(size=64))
     F[::5] = 0
     sys = ladder_from_coeffs(F)
-    assert sys.phi[64].coeffs.base is sys.phitilde[0].coeffs.base
+    phi, phitilde = sys.ladder()
+    assert phi[64].coeffs.base is phitilde[0].coeffs.base is not None
     assert sum(p.lo > 0 for p in sys.phi) == 13
     pair = forward(F)
     report = verify_system(sys, measure_from_pair(pair.a, pair.b))

@@ -11,7 +11,6 @@ from circlepoly import (
     l_functional,
     l_functional_table,
     measure_from_json,
-    moment,
     pairing,
 )
 from circlepoly.errors import ConfigError, DomainError, ToleranceError
@@ -47,19 +46,19 @@ def test_circle_nodes_cache_is_bounded():
 
 
 def test_uniform_moments():
-    mu = CircleMeasure.uniform()
-    assert abs(moment(mu, 0) - 1) < 1e-14
+    c = CircleMeasure.uniform().moments(7)
+    assert abs(c[7] - 1) < 1e-14
     for j in (1, -1, 3, -7):
-        assert abs(moment(mu, j)) < 1e-14
+        assert abs(c[7 + j]) < 1e-14
 
 
 def test_mu_r_moments_closed_form():
     # c_j = (-r)^j for j >= 0 and c_{-j} = r^j
     r = 0.5
-    mu = CircleMeasure.mu_r(r)
+    c = CircleMeasure.mu_r(r).moments(3)
     for j in range(0, 4):
-        assert abs(moment(mu, j) - (-r) ** j) < 1e-12
-        assert abs(moment(mu, -j) - r ** j) < 1e-12
+        assert abs(c[3 + j] - (-r) ** j) < 1e-12
+        assert abs(c[3 - j] - r ** j) < 1e-12
 
 
 def test_mu_r_domain():
@@ -70,18 +69,18 @@ def test_mu_r_domain():
 
 
 def test_atoms_are_exact():
-    mu = CircleMeasure.from_atoms([(1.0, 0.5), (-1.0, 0.5)])
-    assert abs(moment(mu, 0) - 1.0) < 1e-15
-    assert abs(moment(mu, 1)) < 1e-15
-    assert abs(moment(mu, 2) - 1.0) < 1e-15
+    c = CircleMeasure.from_atoms([(1.0, 0.5), (-1.0, 0.5)]).moments(2)
+    assert abs(c[2] - 1.0) < 1e-15
+    assert abs(c[3]) < 1e-15
+    assert abs(c[4] - 1.0) < 1e-15
     with pytest.raises(DomainError):
         CircleMeasure.from_atoms([(0.5, 1.0)])
 
 
 def test_mixture_with_atoms():
-    mu = CircleMeasure.uniform().scaled(0.5).with_atoms([(1j, 0.5)])
-    assert abs(moment(mu, 0) - 1.0) < 1e-12
-    assert abs(moment(mu, 1) - 0.5j) < 1e-12
+    c = CircleMeasure.uniform().scaled(0.5).with_atoms([(1j, 0.5)]).moments(1)
+    assert abs(c[1] - 1.0) < 1e-12
+    assert abs(c[2] - 0.5j) < 1e-12
 
 
 def test_from_samples_roundtrip():
@@ -104,7 +103,7 @@ def test_from_samples_requires_power_of_two():
 def test_conjugate_measure():
     mu = CircleMeasure.mu_r(0.5)
     mub = mu.conjugate()
-    assert abs(moment(mub, 1) - np.conj(moment(mu, -1))) < 1e-12
+    assert abs(mub.moments(1)[2] - np.conj(mu.moments(1)[0])) < 1e-12
 
 
 def test_adaptive_matches_fixed_for_smooth_density():
@@ -138,8 +137,8 @@ def test_moments_match_adaptive_quadrature(mu):
     c = mu.moments(d)
     assert c.shape == (2 * d + 1,)
     assert np.max(np.abs(c - _adaptive_moments(mu, d))) < 1e-13
-    for j in (-d, -1, 0, 4, d):
-        assert moment(mu, j) == c[d + j]
+    for j in (-d, -1, 0, 4, d):  # read at order |j|, a moment is the same
+        assert mu.moments(abs(j))[abs(j) + j] == c[d + j]
 
 
 def test_sampled_moments_past_half_the_samples_use_the_grid():
@@ -339,7 +338,7 @@ def test_measure_from_json_composition():
             "atoms": [{"point": [0, 1], "weight": [0.5, 0]}],
         }
     )
-    assert abs(moment(mu, 0) - 1.0) < 1e-12
+    assert abs(mu.moments(0)[0] - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,80 @@ def test_verify_system_at_n64():
     assert report.max_residual() <= 1e-8
 
 
+def test_verify_system_reads_the_stored_rows():
+    rng = np.random.default_rng(16)
+    sys = ladder_from_coeffs(_random_F(rng, 16, 0.04))
+    pair = forward(sys.F)
+    mu = measure_from_pair(pair.a, pair.b)
+    clean = verify_system(sys, mu)
+    # the FFT's grid values against Horner on every stored row, also on a
+    # grid of fewer nodes than coefficients
+    for grid in (512, 8, 5):
+        nodes = circle_nodes(grid)
+        horner = max(
+            float(np.max(np.abs(np.abs(p(nodes)) ** 2 + np.abs(q(nodes)) ** 2 - 2.0)))
+            for p, q in zip(sys.phi, sys.phitilde)
+        )
+        assert abs(verify_system(sys, mu, grid=grid).det_identity_max - horner) < 1e-14
+    assert clean.max_residual() < 1e-12
+    phi, _ = sys.ladder()
+    phi[7] = phi[7] + LaurentPoly([1e-6], 3)
+    bad = verify_system(sys, mu)
+    assert bad.orthonormality_max > 1e-7 and bad.det_identity_max > 1e-7
+
+
+# -- rows read one at a time ---------------------------------------------------
+
+
+@pytest.mark.parametrize("radius", [0.05, 0.6])
+@pytest.mark.parametrize("n", [0, 1, 16, 63, 64, 65, 2048])
+def test_single_row_matches_packed_row(n, radius):
+    # phi_k = z^k (a + b*) and phitilde_k = z^k (a - b*), (a, b) = forward(F[:k])
+    sys = ladder_from_coeffs(_random_F(np.random.default_rng([17, n]), n, radius))
+    ks = sorted({0, min(1, n), n // 2, n})
+    single = {k: (sys.phi[k], sys.phitilde[k]) for k in ks}
+    assert sys._rows is None  # no packed ladder behind a single row
+    for k in ks:
+        for one, ref in zip(single[k], (row[k] for row in sys.ladder())):
+            assert one.hi == k and one.coeffs.base is None
+            err = np.max(np.abs(one.window(0, k) - ref.window(0, k)))
+            assert err <= 1e-13 * ref.max_abs()
+
+
+def test_single_row_indices():
+    sys = ladder_from_coeffs(_random_F(np.random.default_rng(18), 5, 0.5))
+    assert len(sys.phi) == len(sys.phitilde) == 6
+    assert sys.phi[-1] == sys.phi[5] and sys.phitilde[-6] == sys.phitilde[0]
+    assert sys.phi[np.int64(3)] == sys.phi[3]
+    for bad in (6, -7):
+        with pytest.raises(IndexError):
+            sys.phi[bad]
+    with pytest.raises(TypeError):
+        sys.phi[1.0]
+
+
+def test_tplus_single_rows_are_the_packed_rows():
+    sys = ladder_from_coeffs(_random_F(np.random.default_rng(19), 20, 0.6), T_PLUS)
+    single = [(sys.phi[k], sys.phitilde[k]) for k in range(21)]
+    for k, pair in enumerate(single):
+        for one, ref in zip(pair, (row[k] for row in sys.ladder())):
+            assert one.lo == ref.lo and one.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+def test_one_row_at_n2048_builds_no_ladder():
+    # the packed ladder at n = 2048 holds 2 * 2049 * 2050 / 2 complex entries, 67 MB
+    F = _random_F(np.random.default_rng(20), 2048, 0.05)
+    tracemalloc.start()
+    try:
+        sys = ladder_from_coeffs(F)
+        row = sys.phi[2048]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row.hi == 2048 and sys._rows is None
+    assert peak < 8e6
+
+
 @pytest.mark.parametrize("at", [0, 1, 2])
 def test_max_residual_fails_closed_on_nan(at):
     residuals = [1e-15, 0.0, 2e-15]
@@ -391,7 +467,8 @@ def test_plancherel_spill_fails_closed():
     sys = ladder_from_coeffs(_random_F(rng, 6, 0.5))
     lhs, rhs, zeros = plancherel_check(sys, 2, 5)
     assert lhs <= rhs + 1e-8 and zeros >= 0
-    sys.phi[5] = sys.phi[5] + LaurentPoly([1e-6])
+    phi, _ = sys.ladder()  # the stored rows plancherel_check reads
+    phi[5] = phi[5] + LaurentPoly([1e-6])
     lhs, rhs2, zeros = plancherel_check(sys, 2, 5)
     assert np.isnan(lhs) and zeros == -1 and rhs2 == rhs
     table = {(l, m): lhs for l, m, lhs, _, _ in plancherel_table(sys)}
