@@ -8,6 +8,7 @@ a a* + b b* = 1 holds exactly at the coefficient level.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,6 +160,10 @@ def layer_strip(pair: NLFSPair, tol: float = 1e-9) -> np.ndarray:
     satisfies forward(F) = pair to well below 1e-9 per coefficient.
     a and b are peeled in place in arrays loaded with the input's whole
     support; each step checks and zeroes the entries that leave the window.
+
+    Up to LEAF factors this is the whole algorithm, O(n^2).  Above, the
+    same peel runs on blocks of STRIP_LEAF factors whose pairs two factor
+    trees find in O(n log^2 n) (_strip_trees).
     """
     res = su2_residual(pair.a, pair.b)
     # written so that a NaN anywhere in the pair fails each check
@@ -171,6 +176,8 @@ def layer_strip(pair: NLFSPair, tol: float = 1e-9) -> np.ndarray:
     # prod(1+|F_j|^2)), so the structural check sits well above tol
     spill_tol = max(1e4 * tol, 1e4 * res)
     n = pair.n
+    if n > LEAF:
+        return _strip_trees(pair, spill_tol)
     h = n // 2
     alo, ahi = min(pair.a.lo, -n), max(pair.a.hi, 0)
     blo, bhi = min(pair.b.lo, 1), max(pair.b.hi, n + 1)
@@ -275,6 +282,318 @@ def _leave(x, x_lo, lo, hi, keep_lo, keep_hi) -> float:
     gone = np.abs(np.concatenate((x[below], x[above])))
     x[below] = x[above] = 0
     return float(np.maximum.reduce(gone, initial=0.0))
+
+
+# factors per block of _strip_trees, by measurement (2 vCPU, medians of
+# interleaved runs): 16, 24, 32 and 48 took 26.8, 24.9, 24.3 and 28.4 ms
+# at n = 2048, and 16, 32 and 48 took 87, 74 and 81 ms at n = 8192
+STRIP_LEAF = 32
+# how far |a1|^2 + |b1|^2 of a solved block may sit off 1 before the solve
+# is refined; exact pairs read about 1e-15 on the grid of _su2_gap
+SU2_GAP = 1e-14
+
+
+def _strip_trees(pair, spill_tol):
+    """layer_strip above LEAF factors, by two factor trees.
+
+    n is made even by a zero factor on top, and the pair splits into the
+    bottom and the top w = n/2 factors.  The bottom tree reads the band
+    a on [-w, 0], b on [1, w]; the top tree reads the same a and
+    b~_m = conj(b_{n+1-m}), the band of the reflected sequence
+    conj(F_n), ..., conj(F_1), whose first w factors are the top ones.
+    The two trees have one shape and are stepped side by side on a
+    leading axis of 2 (_tree).  Each finds the pairs of its blocks of
+    STRIP_LEAF factors, and F is read from all of them at once by the
+    two-ended peel (_peel_blocks).  Last, the two roots are joined and
+    must give back the pair.
+    """
+    n = pair.n
+    spill = max(_outside(pair.a, -n, 0), _outside(pair.b, 1, n))
+    if not spill <= spill_tol:
+        raise StrippingError(
+            f"pair is not an exact finite series (spill {spill:.3e} outside its support)",
+            residual=spill,
+        )
+    a0 = abs(pair.a[0])
+    if not a0 >= 1e-12:
+        raise StrippingError("stripping degenerate at step 1: |a[0]| < 1e-12", residual=a0)
+    w = (n + 1) // 2
+    # allocated before the trees' temporaries: allocated after them, it
+    # fragmented the heap by 2 MB of peak RSS in series_n2048
+    out = np.empty(n, dtype=np.complex128)
+    a = pair.a.window(-w, 0)
+    b = pair.b.window(1, 2 * w)
+    band_a = np.stack([a, a])
+    band_b = np.stack([b[:w], np.conj(b[: w - 1 : -1])])
+    blocks = -(-w // STRIP_LEAF)
+    leaves = np.zeros((2, STRIP_LEAF + 1, 2, blocks), dtype=np.complex128)
+    root_a, root_b = _tree(band_a, band_b, leaves, 0)
+    index = np.arange(1, blocks * STRIP_LEAF + 1).reshape(blocks, STRIP_LEAF)
+    factors = np.concatenate([index, 2 * w + 1 - index])
+    F = _peel_blocks(leaves.reshape(2, STRIP_LEAF + 1, -1), factors, spill_tol)
+    F = F.reshape(2, -1)
+    # the top tree's root, back in its own frequencies w+1..2w, follows
+    # the bottom tree's
+    A, B = _spectra(root_a[0], root_b[0], _fft_len(2 * w + 1))
+    got_a, got_b = _joined(A, B, root_a[1], np.conj(root_b[1, ::-1]), w)
+    rem = float(np.max(np.abs(got_a - pair.a.window(-2 * w, 0)))) + float(
+        np.max(np.abs(got_b - b))
+    )
+    if not rem <= 1e-7:
+        raise StrippingError(
+            f"residual pair is not the identity (norm {rem:.3e})", residual=rem
+        )
+    out[:w] = F[0, :w]
+    out[w:] = np.conj(F[1, 2 * w - n : w][::-1])
+    return out
+
+
+def _outside(p, lo, hi) -> float:
+    """Largest |coefficient| of p outside frequencies lo..hi."""
+    c = p.coeffs
+    gone = np.concatenate((c[: max(lo - p.lo, 0)], c[max(hi + 1 - p.lo, 0) :]))
+    return float(np.max(np.abs(gone), initial=0.0))
+
+
+def _tree(a, b, leaves, first):
+    """The pair of the first m factors of a band, a on [-m, 0] and b on
+    [1, m] (arrays over a leading axis), with m = b.shape[-1].
+
+    Up to STRIP_LEAF factors it is one block (_block_pair), stored in
+    leaves[..., first]: a over [-STRIP_LEAF, 0] in leaves[0], b over
+    [1, STRIP_LEAF] in leaves[1], one column per tree.  Beyond, the pair
+    (a1, b1) of the first half (whole blocks, at least m/2 factors) is
+    found recursively and divided out of the band: G^{-1} =
+    [[a1*, -b1], [b1*, a1]], so the rest's pair is (a1* a + b1 b*,
+    a1* b - b1 a*), read on [-(m-h), 0] and [h+1, m] and shifted down to
+    [1, m-h].  The rest's pair (a3, b3) is found from that, and the two
+    are joined as in _combine, (a1 a3 - b1 (z^h b3)*, a1 z^h b3 + b1 a3*).
+    Both products run on transforms of one length above m, which no
+    frequency read wraps."""
+    m = b.shape[-1]
+    if m <= STRIP_LEAF:
+        pa, pb = _block_pair(a, b, first)
+        leaves[0, STRIP_LEAF - m :, :, first] = pa.T
+        leaves[1, :m, :, first] = pb.T
+        return pa, pb
+    h = (-(-m // STRIP_LEAF) + 1) // 2 * STRIP_LEAF
+    a1, b1 = _tree(a[..., m - h :], b[..., :h], leaves, first)
+    size = _fft_len(m + 1)
+    A1, B1 = _spectra(a1, b1, size)
+    A, B = _spectra(a, b, size)
+    rest = np.empty(A.shape[:-1] + (2, size), dtype=np.complex128)
+    a1star = _twiddle(h + 1, size) * np.conj(A1)
+    t = B1 * _twiddle(m + 1, size)
+    rest[..., 0, :] = a1star * A + t * np.conj(B)
+    rest[..., 1, :] = a1star * B - t * np.conj(A)
+    rest = np.fft.ifft(rest)
+    a3, b3 = _tree(
+        rest[..., 0, h : m + 1], rest[..., 1, h + 1 : m + 1], leaves, first + h // STRIP_LEAF
+    )
+    return _joined(A1, B1, a3, b3, h)
+
+
+def _spectra(a, b, size):
+    """Transforms of length size of a, over [-m, 0], and of b put on
+    [0, m] with a zero first entry."""
+    m = b.shape[-1]
+    x = np.empty(b.shape[:-1] + (2, m + 1), dtype=np.complex128)
+    x[..., 0, :] = a
+    x[..., 1, 0] = 0
+    x[..., 1, 1:] = b
+    x = np.fft.fft(x, size)
+    return x[..., 0, :], x[..., 1, :]
+
+
+@functools.lru_cache(maxsize=64)
+def _twiddle(length, size):
+    """The transform of conj(x[length-1-j]) is this times the conjugate
+    of the transform of x (both of length size)."""
+    k = np.arange(size)
+    out = np.exp(-2j * np.pi * (k * (length - 1) % size) / size)
+    out.setflags(write=False)
+    return out
+
+
+def _joined(A1, B1, a3, b3, h):
+    """The pair of h factors, given by its _spectra (A1, B1), followed by
+    the pair (a3, b3) of w more, in their own frequencies:
+    (a1 a3 - b1 (z^h b3)*, a1 z^h b3 + b1 a3*) on [-h-w, 0] and [1, h+w]."""
+    size = A1.shape[-1]
+    w = b3.shape[-1]
+    A3, B3 = _spectra(a3, b3, size)
+    t = B1 * _twiddle(w + 1, size)
+    out = np.empty(A1.shape[:-1] + (2, size), dtype=np.complex128)
+    out[..., 0, :] = A1 * A3 - t * np.conj(B3)
+    out[..., 1, :] = A1 * B3 + t * np.conj(A3)
+    out = np.fft.ifft(out)
+    return out[..., 0, : h + w + 1], out[..., 1, 1 : h + w + 1]
+
+
+def _block_pair(a, b, first):
+    """The pair (a1, b1) of the first m factors of the band a on [-m, 0],
+    b on [1, m], from one linear solve.
+
+    With u the coefficients of a1* scaled to u_0 = 1 and v those of b1
+    scaled alike, G^{-1}P = (a1* a + b1 b*, a1* b - b1 a*) has no
+    a-coefficient and no b-coefficient at frequencies f = 1..m:
+      sum_{i>=f} u_i a[f-i] + sum_{i>f} v_i conj(b[i-f]) = 0,
+      sum_{i<f} u_i b[f-i] - sum_{i<=f} v_i conj(a[i-f]) = 0,
+    four triangular Toeplitz blocks in (u_1..u_m, v_1..v_m), with u_0 b[f]
+    on the right.  The constant term of a1 a1* + b1 b1* = 1 then fixes
+    the scale, a1[0] = (1 + |u|^2 + |v|^2)^{-1/2} > 0.
+
+    The rest of the band is divided by this pair's adjoint, which is its
+    inverse only as far as the pair is SU(2).  Where the solve leaves
+    |a1|^2 + |b1|^2 off 1 by more than SU2_GAP on the circle, one step
+    of iterative refinement follows.  It runs on blocks of large factors
+    or small a[0]: on about half of the blocks of series draws of radius
+    0.2-0.28, on none at radius 0.1 and below."""
+    m = b.shape[-1]
+    # diagonal d = f - i of each block, at index d + m - 1
+    diag = np.zeros(b.shape[:-1] + (4, 2 * m - 1), dtype=np.complex128)
+    diag[..., 0, :m] = a[..., 1:]  # a[d], d <= 0
+    diag[..., 1, : m - 1] = np.conj(b[..., : m - 1][..., ::-1])  # conj(b[-d]), d < 0
+    diag[..., 2, m:] = b[..., : m - 1]  # b[d], d > 0
+    diag[..., 3, m - 1 :] = -np.conj(a[..., :0:-1])  # -conj(a[-d]), d >= 0
+    system = np.take(diag.reshape(b.shape[:-1] + (-1,)), _toeplitz_index(m), axis=-1)
+    rhs = np.zeros(b.shape[:-1] + (2 * m, 1), dtype=np.complex128)
+    rhs[..., m:, 0] = -b
+    x = _solve(system, rhs, first)
+    pa, pb = _scaled_pair(x[..., 0])
+    if not _su2_gap(pa, pb) <= SU2_GAP:
+        x += _solve(system, rhs - system @ x, first)
+        pa, pb = _scaled_pair(x[..., 0])
+    return pa, pb
+
+
+def _solve(system, rhs, first):
+    """np.linalg.solve, failing as a StrippingError."""
+    try:
+        x = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        x = np.full_like(rhs, np.inf)
+    size = float(np.max(np.abs(x)))
+    if not np.isfinite(size):
+        raise StrippingError(
+            f"block solve failed at block {first} (max |x| = {size:.3e})", residual=size
+        )
+    return x
+
+
+def _scaled_pair(x):
+    """(a1, b1) from the solution (u_1..u_m, v_1..v_m) of _block_pair."""
+    m = x.shape[-1] // 2
+    a10 = 1.0 / np.hypot(1.0, np.linalg.norm(x, axis=-1))
+    pa = np.empty(x.shape[:-1] + (m + 1,), dtype=np.complex128)
+    pa[..., :m] = np.conj(x[..., m - 1 :: -1]) * a10[..., None]
+    pa[..., m] = a10
+    return pa, x[..., m:] * a10[..., None]
+
+
+def _su2_gap(pa, pb) -> float:
+    """max | |a|^2 + |b|^2 - 1 | over 2m + 2 points of the circle, for a
+    on [-m, 0] and b on [1, m]; a shift of frequencies leaves |.| as is."""
+    m = pb.shape[-1]
+    powers = _circle_powers(m)
+    gap = np.abs(pa @ powers) ** 2 + np.abs(pb @ powers[:m]) ** 2 - 1.0
+    return float(np.max(np.abs(gap)))
+
+
+@functools.lru_cache(maxsize=None)
+def _circle_powers(m):
+    """z^j for j = 0..m (rows) at the 2m + 2 roots of unity (columns)."""
+    out = np.exp(2j * np.pi / (2 * m + 2) * np.outer(np.arange(m + 1), np.arange(2 * m + 2)))
+    out.setflags(write=False)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _toeplitz_index(m):
+    """Where entry (r, c) of _block_pair's 2m x 2m system sits in its four
+    diagonals of length 2m - 1, laid end to end."""
+    f = np.arange(m)
+    d = np.subtract.outer(f, f) + (m - 1)
+    block = np.array([[0, 1], [2, 3]]) * (2 * m - 1)
+    out = (block[:, None, :, None] + d[None, :, None, :]).reshape(2 * m, 2 * m)
+    out.setflags(write=False)
+    return out
+
+
+def _fft_len(k: int) -> int:
+    """The least 2^i, 3 2^i, 5 2^i, 9 2^i or 15 2^i that is at least k."""
+    return min(p << (-(-k // p) - 1).bit_length() for p in (1, 3, 5, 9, 15))
+
+
+def _peel_blocks(ab, factors, spill_tol):
+    """F of each block pair by the two-ended peel of layer_strip, stepped
+    on every block at once.
+
+    Column r of ab holds a block of L = STRIP_LEAF factors: a over
+    [-L, 0] in ab[0, :, r], b over [1, L + 1] in ab[1, :, r] (the last
+    entry zero), and factors[r] holds their indices in F, for the
+    messages.  Blocks run along the last axis, so that every step works
+    on contiguous rows.  A bottom step meets a with b reversed; for the
+    top sweep b is stored reversed, so that a step of either sweep is one
+    product of the live window with itself flipped.  The products go into
+    one work array: a fresh temporary each step fragmented the heap, by
+    2 MB of peak RSS in series_n2048.  Each step reads the three entries
+    that leave the windows and zeroes them.  After the peel, the first
+    step at which a block spilled fails, and then any block whose
+    remainder is not the identity.
+    """
+    L = STRIP_LEAF
+    h = L // 2
+    rows = ab.shape[-1]
+    F = np.empty((L, rows), dtype=np.complex128)
+    left = np.empty((L, 3, rows), dtype=np.complex128)
+    coef = np.empty((2, 1, rows), dtype=np.complex128)
+    work = np.empty(ab.shape, dtype=np.complex128)
+    for k in range(1, h + 1):  # off the left: G^{-1} from the left
+        x = ab[:, k - 1 :]
+        f = x[1, 0] / np.conj(x[0, -1])
+        # z^k b* over a's window, z^k a* over b's
+        y = np.conjugate(x[::-1, ::-1], out=work[:, k - 1 :])
+        coef[0, 0] = f
+        coef[1, 0] = -f
+        y *= coef
+        x += y
+        x *= 1.0 / np.hypot(1.0, np.abs(f))
+        F[k - 1] = f
+        # a at k-1-L, b at k and at L+1
+        left[k - 1] = ab[0, k - 1], ab[1, k - 1], ab[1, L]
+        ab[0, k - 1] = ab[1, k - 1] = ab[1, L] = 0
+    # b on [h, L] from its end: index j holds frequency L + h - j
+    ab[1, h:] = ab[1, h - 1 : L][::-1].copy()
+    for k in range(L, h, -1):  # off the right
+        lo = L + h - k
+        x = ab[:, lo:]
+        f = x[1, 0] / x[0, -1]
+        coef[0, 0] = np.conj(f)
+        coef[1, 0] = -f
+        # z^{-k} b over a's window, z^k a over b's
+        x += np.multiply(x[::-1, ::-1], coef, out=work[:, lo:])
+        x *= 1.0 / np.hypot(1.0, np.abs(f))
+        F[k - 1] = f
+        # a at -(k-h), b at k and at h
+        left[L - k + h] = ab[0, lo], ab[1, lo], ab[1, L]
+        ab[0, lo] = ab[1, lo] = ab[1, L] = 0
+    spill = np.max(np.abs(left), axis=1)  # (step, row)
+    bad = ~(spill <= spill_tol)  # a NaN fails
+    if bad.any():
+        step, row = np.argwhere(bad)[0]
+        k = step + 1 if step < h else L + h - step
+        raise StrippingError(
+            f"pair is not an exact finite series (spill {spill[step, row]:.3e} at step {factors[row, k - 1]})",
+            residual=float(spill[step, row]),
+        )
+    ab[0, L] -= 1
+    rem = float(np.max(np.abs(ab).max(axis=1).sum(axis=0)))
+    if not rem <= 1e-7:
+        raise StrippingError(
+            f"residual pair is not the identity (norm {rem:.3e})", residual=rem
+        )
+    return F.T
 
 
 def layer_strip_truncated(a: LaurentPoly, b: LaurentPoly, steps: int, bandwidth: int):

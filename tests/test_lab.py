@@ -221,6 +221,18 @@ def test_roundtrip_smoke(tmp_path):
         assert row[2] < 1e-9 and row[3] < 1e-12
 
 
+def test_roundtrip_strips_by_the_factor_trees(tmp_path):
+    # n = 256 is above nlfs.LEAF, so layer_strip runs the two factor trees
+    code, out = _run(
+        tmp_path, "roundtrip", {"n": 256, "radius": 0.05, "trials": 2, "extract_n": 8}
+    )
+    assert code == 0
+    _, rows = read_csv(os.path.join(out, "roundtrip.csv"))
+    assert len(rows) == 2
+    for row in rows:
+        assert row[2] <= 1e-13
+
+
 def test_plancherel_smoke(tmp_path):
     code, out = _run(tmp_path, "plancherel", {"systems": 2, "n": 6})
     assert code == 0
