@@ -137,15 +137,25 @@ def _combine(ab):
         one = np.zeros((1, 2, ab.shape[-1]), dtype=np.complex128)
         one[0, 0, -1] = 1.0  # a = 1, b = 0
         ab = np.concatenate([ab, one])
-    left, right = ab[0::2], ab[1::2]
-    # (a2, b2) and, reversed and conjugated, ((z^w b2)* from frequency
-    # -2w-1, a2* from 0), so that each product lands on its row's grid
-    other = np.stack([right, np.conj(right[:, ::-1, ::-1])], axis=1)
-    prod = convolve(left[:, :, None], other)
-    out = np.empty((len(left), 2, prod.shape[-1]), dtype=np.complex128)
-    np.subtract(prod[:, 0, 0], prod[:, 1, 0], out[:, 0])
-    np.add(prod[:, 0, 1], prod[:, 1, 1], out[:, 1])
+    out = _product(ab[0::2], ab[1::2])
     out[:, 1, -1] = 0  # b's frequency 2w + 1, zero but for rounding
+    return out
+
+
+def _product(x, y):
+    """The rows (xa ya - xb yb^, xa yb + xb ya^) of two stacks of rows
+    x[..., 0] = xa, x[..., 1] = xb and y alike, where ^ reverses and
+    conjugates: one batched convolve.
+
+    For pairs stored as in _combine, (a1, b1) in x and (a2, b2) in y,
+    this is the product of the two, a on [-w1-w2, 0] and b on
+    [1, w1+w2+1]: (z^w1 b2)* runs from frequency -w1-w2-1 and a2* from 0,
+    so that each product lands on its row's grid."""
+    other = np.stack([y, np.conj(y[..., ::-1, ::-1])], axis=-3)
+    prod = convolve(x[..., :, None, :], other)
+    out = np.empty(prod.shape[:-3] + (2, prod.shape[-1]), dtype=np.complex128)
+    np.subtract(prod[..., 0, 0, :], prod[..., 1, 0, :], out[..., 0, :])
+    np.add(prod[..., 0, 1, :], prod[..., 1, 1, :], out[..., 1, :])
     return out
 
 
@@ -161,9 +171,10 @@ def layer_strip(pair: NLFSPair, tol: float = 1e-9) -> np.ndarray:
     a and b are peeled in place in arrays loaded with the input's whole
     support; each step checks and zeroes the entries that leave the window.
 
-    Up to LEAF factors this is the whole algorithm, O(n^2).  Above, the
-    same peel runs on blocks of STRIP_LEAF factors whose pairs two factor
-    trees find in O(n log^2 n) (_strip_trees).
+    This is the whole algorithm, O(n^2), up to TREE_MIN_N factors and
+    wherever |a[0]| < TREE_MIN_A0.  Otherwise the same peel runs on
+    blocks of STRIP_LEAF factors whose pairs two factor trees find in
+    O(n log^2 n) (_strip_trees).
     """
     res = su2_residual(pair.a, pair.b)
     # written so that a NaN anywhere in the pair fails each check
@@ -176,7 +187,7 @@ def layer_strip(pair: NLFSPair, tol: float = 1e-9) -> np.ndarray:
     # prod(1+|F_j|^2)), so the structural check sits well above tol
     spill_tol = max(1e4 * tol, 1e4 * res)
     n = pair.n
-    if n > LEAF:
+    if n > TREE_MIN_N and abs(pair.a[0]) >= TREE_MIN_A0:
         return _strip_trees(pair, spill_tol)
     h = n // 2
     alo, ahi = min(pair.a.lo, -n), max(pair.a.hi, 0)
@@ -236,7 +247,9 @@ def _peel_bottom(a, a_lo, b, b_lo, k, lo, hi, work):
     two rows at least as long as the live window."""
     a0c = np.conj(a[-a_lo])
     if abs(a0c) < 1e-12:
-        raise StrippingError(f"stripping degenerate at step {k}: |a[0]| < 1e-12")
+        raise StrippingError(
+            f"stripping degenerate at step {k}: |a[0]| < 1e-12", residual=float(abs(a0c))
+        )
     f = b[k - b_lo] / a0c
     inv = 1.0 / np.sqrt(1.0 + abs(f) ** 2)
     aw = a[lo - a_lo : hi - a_lo + 1]
@@ -259,7 +272,9 @@ def _peel_top(a, a_lo, b, b_lo, k, lo, hi, work):
     [lo + k, hi + k] through z^{-k} b and z^k a.  work as for _peel_bottom."""
     a0 = complex(a[-a_lo])  # a Python complex: its division is not numpy's
     if abs(a0) < 1e-12:
-        raise StrippingError(f"stripping degenerate at step {k}: |a[0]| < 1e-12")
+        raise StrippingError(
+            f"stripping degenerate at step {k}: |a[0]| < 1e-12", residual=float(abs(a0))
+        )
     f = complex(b[k - b_lo]) / a0
     inv = 1.0 / np.sqrt(1.0 + abs(f) ** 2)
     aw = a[lo - a_lo : hi - a_lo + 1]
@@ -285,16 +300,25 @@ def _leave(x, x_lo, lo, hi, keep_lo, keep_hi) -> float:
 
 
 # factors per block of _strip_trees, by measurement (2 vCPU, medians of
-# interleaved runs): 16, 24, 32 and 48 took 26.8, 24.9, 24.3 and 28.4 ms
-# at n = 2048, and 16, 32 and 48 took 87, 74 and 81 ms at n = 8192
+# interleaved runs): 16, 24, 32 and 48 took 35.2, 31.3, 30.8 and 33.8 ms
+# at n = 2048, and 102, 102, 96 and 98 ms at n = 8192
 STRIP_LEAF = 32
-# how far |a1|^2 + |b1|^2 of a solved block may sit off 1 before the solve
-# is refined; exact pairs read about 1e-15 on the grid of _su2_gap
-SU2_GAP = 1e-14
+# where layer_strip runs the trees, by measurement (2 vCPU; error in F on
+# draws F_j = r sqrt(U) e^{2 pi i U'}, 8-12 seeds a cell; README.md has
+# the table).  Up to 128 factors the sweeps are as fast (1.0 against
+# 1.7 ms at n = 65, 1.9 ms both at 128), and blocks of large factors cost
+# the trees digits (n = 128, a[0] near 0.22: 4.0e-14 against 2.9e-15).
+# The trees divide the band by block pairs that are SU(2) only to about
+# 1e-14, and the next solve amplifies that as a[0] falls: at n = 2048 and
+# a[0] in 0.01-0.1 the median error is 8.1e-12 against 7.8e-13, at 1e-3 to
+# 1e-2 they refuse 5 of 8 draws that the sweeps return, and from 0.2 up
+# they stay within 1e-14 at n = 256-8192.
+TREE_MIN_N = 128
+TREE_MIN_A0 = 0.2
 
 
 def _strip_trees(pair, spill_tol):
-    """layer_strip above LEAF factors, by two factor trees.
+    """layer_strip by two factor trees.
 
     n is made even by a zero factor on top, and the pair splits into the
     bottom and the top w = n/2 factors.  The bottom tree reads the band
@@ -314,9 +338,6 @@ def _strip_trees(pair, spill_tol):
             f"pair is not an exact finite series (spill {spill:.3e} outside its support)",
             residual=spill,
         )
-    a0 = abs(pair.a[0])
-    if not a0 >= 1e-12:
-        raise StrippingError("stripping degenerate at step 1: |a[0]| < 1e-12", residual=a0)
     w = (n + 1) // 2
     # allocated before the trees' temporaries: allocated after them, it
     # fragmented the heap by 2 MB of peak RSS in series_n2048
@@ -327,17 +348,18 @@ def _strip_trees(pair, spill_tol):
     band_b = np.stack([b[:w], np.conj(b[: w - 1 : -1])])
     blocks = -(-w // STRIP_LEAF)
     leaves = np.zeros((2, STRIP_LEAF + 1, 2, blocks), dtype=np.complex128)
-    root_a, root_b = _tree(band_a, band_b, leaves, 0)
+    root = _tree(band_a, band_b, leaves, 0)
     index = np.arange(1, blocks * STRIP_LEAF + 1).reshape(blocks, STRIP_LEAF)
     factors = np.concatenate([index, 2 * w + 1 - index])
     F = _peel_blocks(leaves.reshape(2, STRIP_LEAF + 1, -1), factors, spill_tol)
     F = F.reshape(2, -1)
     # the top tree's root, back in its own frequencies w+1..2w, follows
     # the bottom tree's
-    A, B = _spectra(root_a[0], root_b[0], _fft_len(2 * w + 1))
-    got_a, got_b = _joined(A, B, root_a[1], np.conj(root_b[1, ::-1]), w)
-    rem = float(np.max(np.abs(got_a - pair.a.window(-2 * w, 0)))) + float(
-        np.max(np.abs(got_b - b))
+    top = root[1].copy()
+    top[1, :w] = np.conj(root[1, 1, w - 1 :: -1])
+    got = _product(root[0], top)
+    rem = float(np.max(np.abs(got[0] - pair.a.window(-2 * w, 0)))) + float(
+        np.max(np.abs(got[1, : 2 * w] - b))
     )
     if not rem <= 1e-7:
         raise StrippingError(
@@ -357,82 +379,42 @@ def _outside(p, lo, hi) -> float:
 
 def _tree(a, b, leaves, first):
     """The pair of the first m factors of a band, a on [-m, 0] and b on
-    [1, m] (arrays over a leading axis), with m = b.shape[-1].
+    [1, m] (arrays over a leading axis), with m = b.shape[-1], stored as
+    in _combine: a in [..., 0, :], b then a zero in [..., 1, :].
 
-    Up to STRIP_LEAF factors it is one block (_block_pair), stored in
-    leaves[..., first]: a over [-STRIP_LEAF, 0] in leaves[0], b over
+    Up to STRIP_LEAF factors it is one block (_block_pair), also stored
+    in leaves[..., first]: a over [-STRIP_LEAF, 0] in leaves[0], b over
     [1, STRIP_LEAF] in leaves[1], one column per tree.  Beyond, the pair
     (a1, b1) of the first half (whole blocks, at least m/2 factors) is
-    found recursively and divided out of the band: G^{-1} =
-    [[a1*, -b1], [b1*, a1]], so the rest's pair is (a1* a + b1 b*,
-    a1* b - b1 a*), read on [-(m-h), 0] and [h+1, m] and shifted down to
-    [1, m-h].  The rest's pair (a3, b3) is found from that, and the two
-    are joined as in _combine, (a1 a3 - b1 (z^h b3)*, a1 z^h b3 + b1 a3*).
-    Both products run on transforms of one length above m, which no
-    frequency read wraps."""
+    found recursively and divided out of the band: G^{-1} has top row
+    (a1*, -b1), so the rest's pair is (a1* a + b1 b*, a1* b - b1 a*),
+    read on [-(m-h), 0] and [h+1, m] and shifted down to [1, m-h].  The
+    rest's pair is found from that, and the two are joined as in
+    _combine.  Both are one _product each."""
     m = b.shape[-1]
     if m <= STRIP_LEAF:
-        pa, pb = _block_pair(a, b, first)
-        leaves[0, STRIP_LEAF - m :, :, first] = pa.T
-        leaves[1, :m, :, first] = pb.T
-        return pa, pb
+        pair = _block_pair(a, b, first)
+        leaves[0, STRIP_LEAF - m :, :, first] = pair[..., 0, :].T
+        leaves[1, :m, :, first] = pair[..., 1, :m].T
+        return pair
     h = (-(-m // STRIP_LEAF) + 1) // 2 * STRIP_LEAF
-    a1, b1 = _tree(a[..., m - h :], b[..., :h], leaves, first)
-    size = _fft_len(m + 1)
-    A1, B1 = _spectra(a1, b1, size)
-    A, B = _spectra(a, b, size)
-    rest = np.empty(A.shape[:-1] + (2, size), dtype=np.complex128)
-    a1star = _twiddle(h + 1, size) * np.conj(A1)
-    t = B1 * _twiddle(m + 1, size)
-    rest[..., 0, :] = a1star * A + t * np.conj(B)
-    rest[..., 1, :] = a1star * B - t * np.conj(A)
-    rest = np.fft.ifft(rest)
-    a3, b3 = _tree(
-        rest[..., 0, h : m + 1], rest[..., 1, h + 1 : m + 1], leaves, first + h // STRIP_LEAF
-    )
-    return _joined(A1, B1, a3, b3, h)
-
-
-def _spectra(a, b, size):
-    """Transforms of length size of a, over [-m, 0], and of b put on
-    [0, m] with a zero first entry."""
-    m = b.shape[-1]
-    x = np.empty(b.shape[:-1] + (2, m + 1), dtype=np.complex128)
-    x[..., 0, :] = a
-    x[..., 1, 0] = 0
-    x[..., 1, 1:] = b
-    x = np.fft.fft(x, size)
-    return x[..., 0, :], x[..., 1, :]
-
-
-@functools.lru_cache(maxsize=64)
-def _twiddle(length, size):
-    """The transform of conj(x[length-1-j]) is this times the conjugate
-    of the transform of x (both of length size)."""
-    k = np.arange(size)
-    out = np.exp(-2j * np.pi * (k * (length - 1) % size) / size)
-    out.setflags(write=False)
+    left = _tree(a[..., m - h :], b[..., :h], leaves, first)
+    # a1* from frequency 0 and -b1 from 1 meet the band (a from -m, b
+    # from 1) as the pairs of _product do
+    inverse = np.stack([np.conj(left[..., 0, ::-1]), -left[..., 1, :]], axis=-2)
+    band = np.zeros(b.shape[:-1] + (2, m + 1), dtype=np.complex128)
+    band[..., 0, :] = a
+    band[..., 1, :m] = b
+    rest = _product(inverse, band)
+    right = _tree(rest[..., 0, h : m + 1], rest[..., 1, h:m], leaves, first + h // STRIP_LEAF)
+    out = _product(left, right)
+    out[..., 1, -1] = 0
     return out
-
-
-def _joined(A1, B1, a3, b3, h):
-    """The pair of h factors, given by its _spectra (A1, B1), followed by
-    the pair (a3, b3) of w more, in their own frequencies:
-    (a1 a3 - b1 (z^h b3)*, a1 z^h b3 + b1 a3*) on [-h-w, 0] and [1, h+w]."""
-    size = A1.shape[-1]
-    w = b3.shape[-1]
-    A3, B3 = _spectra(a3, b3, size)
-    t = B1 * _twiddle(w + 1, size)
-    out = np.empty(A1.shape[:-1] + (2, size), dtype=np.complex128)
-    out[..., 0, :] = A1 * A3 - t * np.conj(B3)
-    out[..., 1, :] = A1 * B3 + t * np.conj(A3)
-    out = np.fft.ifft(out)
-    return out[..., 0, : h + w + 1], out[..., 1, 1 : h + w + 1]
 
 
 def _block_pair(a, b, first):
     """The pair (a1, b1) of the first m factors of the band a on [-m, 0],
-    b on [1, m], from one linear solve.
+    b on [1, m], from one linear solve, stored as in _tree.
 
     With u the coefficients of a1* scaled to u_0 = 1 and v those of b1
     scaled alike, G^{-1}P = (a1* a + b1 b*, a1* b - b1 a*) has no
@@ -441,14 +423,7 @@ def _block_pair(a, b, first):
       sum_{i<f} u_i b[f-i] - sum_{i<=f} v_i conj(a[i-f]) = 0,
     four triangular Toeplitz blocks in (u_1..u_m, v_1..v_m), with u_0 b[f]
     on the right.  The constant term of a1 a1* + b1 b1* = 1 then fixes
-    the scale, a1[0] = (1 + |u|^2 + |v|^2)^{-1/2} > 0.
-
-    The rest of the band is divided by this pair's adjoint, which is its
-    inverse only as far as the pair is SU(2).  Where the solve leaves
-    |a1|^2 + |b1|^2 off 1 by more than SU2_GAP on the circle, one step
-    of iterative refinement follows.  It runs on blocks of large factors
-    or small a[0]: on about half of the blocks of series draws of radius
-    0.2-0.28, on none at radius 0.1 and below."""
+    the scale, a1[0] = (1 + |u|^2 + |v|^2)^{-1/2} > 0."""
     m = b.shape[-1]
     # diagonal d = f - i of each block, at index d + m - 1
     diag = np.zeros(b.shape[:-1] + (4, 2 * m - 1), dtype=np.complex128)
@@ -459,53 +434,21 @@ def _block_pair(a, b, first):
     system = np.take(diag.reshape(b.shape[:-1] + (-1,)), _toeplitz_index(m), axis=-1)
     rhs = np.zeros(b.shape[:-1] + (2 * m, 1), dtype=np.complex128)
     rhs[..., m:, 0] = -b
-    x = _solve(system, rhs, first)
-    pa, pb = _scaled_pair(x[..., 0])
-    if not _su2_gap(pa, pb) <= SU2_GAP:
-        x += _solve(system, rhs - system @ x, first)
-        pa, pb = _scaled_pair(x[..., 0])
-    return pa, pb
-
-
-def _solve(system, rhs, first):
-    """np.linalg.solve, failing as a StrippingError."""
     try:
-        x = np.linalg.solve(system, rhs)
+        x = np.linalg.solve(system, rhs)[..., 0]
     except np.linalg.LinAlgError:
-        x = np.full_like(rhs, np.inf)
+        x = np.full(rhs.shape[:-1], np.inf, dtype=np.complex128)
     size = float(np.max(np.abs(x)))
     if not np.isfinite(size):
         raise StrippingError(
             f"block solve failed at block {first} (max |x| = {size:.3e})", residual=size
         )
-    return x
-
-
-def _scaled_pair(x):
-    """(a1, b1) from the solution (u_1..u_m, v_1..v_m) of _block_pair."""
-    m = x.shape[-1] // 2
     a10 = 1.0 / np.hypot(1.0, np.linalg.norm(x, axis=-1))
-    pa = np.empty(x.shape[:-1] + (m + 1,), dtype=np.complex128)
-    pa[..., :m] = np.conj(x[..., m - 1 :: -1]) * a10[..., None]
-    pa[..., m] = a10
-    return pa, x[..., m:] * a10[..., None]
-
-
-def _su2_gap(pa, pb) -> float:
-    """max | |a|^2 + |b|^2 - 1 | over 2m + 2 points of the circle, for a
-    on [-m, 0] and b on [1, m]; a shift of frequencies leaves |.| as is."""
-    m = pb.shape[-1]
-    powers = _circle_powers(m)
-    gap = np.abs(pa @ powers) ** 2 + np.abs(pb @ powers[:m]) ** 2 - 1.0
-    return float(np.max(np.abs(gap)))
-
-
-@functools.lru_cache(maxsize=None)
-def _circle_powers(m):
-    """z^j for j = 0..m (rows) at the 2m + 2 roots of unity (columns)."""
-    out = np.exp(2j * np.pi / (2 * m + 2) * np.outer(np.arange(m + 1), np.arange(2 * m + 2)))
-    out.setflags(write=False)
-    return out
+    pair = np.zeros(b.shape[:-1] + (2, m + 1), dtype=np.complex128)
+    pair[..., 0, :m] = np.conj(x[..., m - 1 :: -1]) * a10[..., None]
+    pair[..., 0, m] = a10
+    pair[..., 1, :m] = x[..., m:] * a10[..., None]
+    return pair
 
 
 @functools.lru_cache(maxsize=None)
@@ -518,11 +461,6 @@ def _toeplitz_index(m):
     out = (block[:, None, :, None] + d[None, :, None, :]).reshape(2 * m, 2 * m)
     out.setflags(write=False)
     return out
-
-
-def _fft_len(k: int) -> int:
-    """The least 2^i, 3 2^i, 5 2^i, 9 2^i or 15 2^i that is at least k."""
-    return min(p << (-(-k // p) - 1).bit_length() for p in (1, 3, 5, 9, 15))
 
 
 def _peel_blocks(ab, factors, spill_tol):

@@ -317,7 +317,7 @@ def test_strip_inverts_forward_up_to_64(n, seed):
     assert np.max(np.abs(F2 - F), initial=0.0) < 1e-9
 
 
-# -- above nlfs.LEAF: the two factor trees -------------------------------------
+# -- above nlfs.LEAF: the sweeps or the two factor trees ----------------------
 
 
 def _series_draw(n, radius, seed):
@@ -325,53 +325,70 @@ def _series_draw(n, radius, seed):
     return radius * np.sqrt(rng.uniform(size=n)) * np.exp(2j * np.pi * rng.uniform(size=n))
 
 
+def _family(n):
+    """The series family's radius at n: a[0] stays near 0.3."""
+    return 0.05 * (2048 / n) ** 0.5
+
+
+def _a0(F):
+    return np.exp(-0.5 * np.sum(np.log1p(np.abs(F) ** 2)))
+
+
 @pytest.mark.parametrize("n", [65, 100, 127, 129, 512, 2048, 8192])
-def test_strip_trees_invert_the_series_family(n):
-    # radius 0.05 (2048/n)^(1/2) keeps a[0] near 0.3 at every n; zero runs
-    # at the start, in the middle and at the end, as for the forward tree
-    F = _series_draw(n, 0.05 * (2048 / n) ** 0.5, seed=0)
+def test_layer_strip_inverts_the_series_family(n):
+    # zero runs at the start, in the middle and at the end, as for the
+    # forward tree; above nlfs.TREE_MIN_N factors this is the trees
+    F = _series_draw(n, _family(n), seed=0)
     F[:3] = 0
     F[n // 2 : n // 2 + 9] = 0
     F[-5:] = 0
     assert np.max(np.abs(layer_strip(forward(F)) - F)) <= 1e-14
 
 
-def _ill_conditioned(n, radius, count):
-    """The first `count` draws, in seed order, whose a[0] lies in
-    [1e-3, 1e-1]."""
+def _draws(n, radius, count, lo, hi):
+    """The first `count` draws, in seed order, whose a[0] lies in [lo, hi]."""
     out, seed = [], 0
     while len(out) < count:
         F = _series_draw(n, radius, seed)
         seed += 1
-        a0 = np.exp(-0.5 * np.sum(np.log1p(np.abs(F) ** 2)))
-        if 1e-3 <= a0 <= 1e-1:
+        if lo <= _a0(F) <= hi:
             out.append(F)
     return out
 
 
-# 40 draws; fewer at n = 2048, where the reference takes 0.4 s a draw
+def _outcome(strip, pair):
+    try:
+        return strip(pair).tobytes()
+    except StrippingError as e:
+        return str(e)
+
+
+# 44 draws; fewer at n = 2048, where the reference takes 0.4 s a draw.  At
+# n = 2048 and radius 0.1, a[0] is near 6e-3, where the trees refused
+# most draws whose F the sweeps returned
 @pytest.mark.parametrize(
-    "n,radius,count", [(100, 0.3, 10), (100, 0.45, 12), (256, 0.2, 8), (512, 0.15, 6), (2048, 0.08, 4)]
+    "n,radius,count",
+    [(100, 0.3, 10), (100, 0.45, 12), (256, 0.2, 8), (512, 0.15, 6), (2048, 0.08, 4), (2048, 0.1, 4)],
 )
-def test_strip_trees_against_the_sweeps_when_ill_conditioned(n, radius, count):
-    # the trees raise exactly where the two sweeps raise, and where the
-    # sweeps recover F to 1e-10 the trees recover it to 1e-8
-    for F in _ill_conditioned(n, radius, count):
+def test_layer_strip_is_the_sweeps_when_ill_conditioned(n, radius, count):
+    # a[0] in [1e-3, 1e-1], below nlfs.TREE_MIN_A0: the result, or the
+    # error, is the two sweeps' bit for bit
+    for F in _draws(n, radius, count, 1e-3, 1e-1):
         pair = forward(F)
-        errs = []
-        for strip in (layer_strip, _layer_strip_ref):
-            try:
-                errs.append(float(np.max(np.abs(strip(pair) - F))))
-            except StrippingError:
-                errs.append(None)
-        got, ref = errs
-        assert (got is None) == (ref is None)
-        if ref is not None and ref <= 1e-10:
-            assert got <= 1e-8
+        assert _outcome(layer_strip, pair) == _outcome(_layer_strip_ref, pair)
 
 
-def _rotated(n):
-    pair = forward(_series_draw(n, 0.3, seed=1))
+@pytest.mark.parametrize("n", [256, 512, 2048])
+def test_strip_trees_near_their_threshold(n):
+    # the least a[0] the trees take: they stay within 1e-14 of F there
+    # (2-6 times the sweeps' error at worst)
+    radius = (-4 * np.log(0.22) / n) ** 0.5
+    for F in _draws(n, radius, 4, nlfs.TREE_MIN_A0, 0.25):
+        assert np.max(np.abs(layer_strip(forward(F)) - F)) <= 1e-13
+
+
+def _rotated(n, radius):
+    pair = forward(_series_draw(n, radius, seed=1))
     return NLFSPair(pair.a.scale(np.exp(0.3j)), pair.b.scale(np.exp(-0.7j)), n)
 
 
@@ -387,24 +404,36 @@ def _nan_in_b():
     return NLFSPair(pair.a, LaurentPoly(c, pair.b.lo), 200)
 
 
-def _mislabelled():
-    pair = forward(_series_draw(130, 0.3, seed=0))
-    return NLFSPair(pair.a, pair.b, 128)
+def _mislabelled(n, radius):
+    pair = forward(_series_draw(n + 2, radius, seed=0))
+    return NLFSPair(pair.a, pair.b, n)
 
 
+# the cases at n = 512 and the family's radius reach the trees
 @pytest.mark.parametrize(
     "make",
     [
-        _mislabelled,
-        lambda: _rotated(100),
+        lambda: _mislabelled(128, 0.3),
+        lambda: _mislabelled(512, _family(512)),
+        lambda: _rotated(100, 0.3),
+        lambda: _rotated(512, _family(512)),
         lambda: _shifted(1),
         lambda: _shifted(-1),
         _nan_in_b,
         lambda: forward(_series_draw(1024, 0.4, seed=4)),  # |a[0]| about 3e-17
     ],
-    ids=["mislabelled", "rotated", "shifted_up", "shifted_down", "nan", "degenerate"],
+    ids=[
+        "mislabelled",
+        "mislabelled_trees",
+        "rotated",
+        "rotated_trees",
+        "shifted_up",
+        "shifted_down",
+        "nan",
+        "degenerate",
+    ],
 )
-def test_strip_trees_fail_closed(make):
+def test_layer_strip_fails_closed_above_leaf(make):
     pair = make()
     with pytest.raises(StrippingError) as info:
         layer_strip(pair)
@@ -420,7 +449,7 @@ def test_block_solve_failure_is_a_stripping_error(monkeypatch, outcome):
 
     monkeypatch.setattr(nlfs.np.linalg, "solve", solve)
     with pytest.raises(StrippingError) as info:
-        layer_strip(forward(_series_draw(100, 0.3, seed=0)))
+        layer_strip(forward(_series_draw(512, _family(512), seed=0)))
     assert "block solve failed" in str(info.value)
     assert info.value.residual is not None
 
@@ -572,9 +601,9 @@ def test_planted_spill_fails_closed(monkeypatch, peel, step, entry, value):
 # array code wrote before the steps were fused in place,
 # ddb1ae2d3650203e00d9c7e900efd4919d72f738863ea0eccd4debf503dd2852.
 # Re-pinned again when layer_strip above nlfs.LEAF became the two factor
-# trees: only the stripped F moved, by at most 1.9e-16, from
+# trees: only the stripped F moved, by at most 1.3e-16, from
 # 46124bcbfe0a30b04d1d9c58251095694f9381415fed3c6ab6bc8193b0a55559.
-SERIES_DIGEST = "738fe47d6e711559171bbb03d6e4f14dc1474a8778bf08a43d59c4e8b59d8f6c"
+SERIES_DIGEST = "d1396c34c67e51453fbfee0ba8a9fa62017fe32c999a10a3920500b4bf91d978"
 
 
 def test_series_path_bytes_pinned():

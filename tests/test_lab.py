@@ -222,7 +222,8 @@ def test_roundtrip_smoke(tmp_path):
 
 
 def test_roundtrip_strips_by_the_factor_trees(tmp_path):
-    # n = 256 is above nlfs.LEAF, so layer_strip runs the two factor trees
+    # n = 256 is above nlfs.TREE_MIN_N and a[0] near 0.85 is above
+    # nlfs.TREE_MIN_A0, so layer_strip runs the two factor trees
     code, out = _run(
         tmp_path, "roundtrip", {"n": 256, "radius": 0.05, "trials": 2, "extract_n": 8}
     )

@@ -218,17 +218,15 @@ def test_oracle_forward_matches_forward():
 
 
 # 0.2 is the series family's radius 0.05 (2048/n)^(1/2) at n = 128, where
-# a[0] is near 0.3.  At 0.3, a[0] is near 0.06; on seeds 0-7 the two
-# O(n^2) sweeps (_layer_strip_ref in test_array_core) keep the backward
-# error below 4e-14, while the trees, which divide by block pairs that are
-# SU(2) only to about 1e-14, reach 2.5e-13, so the bound there is 1e-12.
-@pytest.mark.parametrize("radius,bound", [(0.2, 1e-13), (0.3, 1e-12)])
+# a[0] is near 0.3; at 0.3, a[0] is near 0.06.  Up to 128 factors
+# layer_strip is the two O(n^2) sweeps; at n = 256 and the family's radius
+# 0.14 it is the factor trees.
+@pytest.mark.parametrize("n,radius", [(128, 0.2), (128, 0.3), (256, 0.14)])
 @pytest.mark.parametrize("seed", range(3))
-def test_stripped_F_reproduces_the_pair_under_the_oracle(radius, bound, seed):
-    # the backward error of the factor trees, with the 50-digit forward as
-    # the judge: forward(F) rounds each coefficient once
-    n = 128
+def test_stripped_F_reproduces_the_pair_under_the_oracle(n, radius, seed):
+    # the backward error, with the 50-digit forward as the judge:
+    # forward(F) rounds each coefficient once
     pair = forward(_random_F(np.random.default_rng([seed, n]), n, radius))
     a, b = oracles.forward(layer_strip(pair))
-    assert np.max(np.abs(a - pair.a.window(-n, 0))) <= bound
-    assert np.max(np.abs(b - pair.b.window(1, n))) <= bound
+    assert np.max(np.abs(a - pair.a.window(-n, 0))) <= 1e-13
+    assert np.max(np.abs(b - pair.b.window(1, n))) <= 1e-13
