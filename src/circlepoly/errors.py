@@ -37,10 +37,6 @@ class MalformedLadderError(CirclepolyError):
     """Polynomial ladder with degree gaps or non-monic entries."""
 
 
-class MalformedPairError(CirclepolyError):
-    """An (a, b) pair violating its frequency-support constraints."""
-
-
 class StrippingError(CirclepolyError):
     """Layer stripping hit a degenerate or non-exact pair."""
 

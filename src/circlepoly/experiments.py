@@ -678,7 +678,7 @@ def run_plot(cfg, outdir, seed: int) -> int:
     if "csv" not in cfg or "x" not in cfg or "y" not in cfg:
         raise ConfigError("plot config needs 'csv', 'x', and 'y' fields")
     columns, rows = read_csv(cfg["csv"])
-    wanted = [cfg["x"]] + list(cfg["y"])
+    wanted = [cfg["x"]] + _list(cfg["y"], "y")
     missing = [c for c in wanted if c not in columns]
     if missing:
         raise ConfigError(

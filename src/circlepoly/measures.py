@@ -42,23 +42,6 @@ def on_circle(z) -> bool:
     return bool(np.all(np.abs(np.abs(z) - 1.0) <= 1e-9))
 
 
-def _interpolant(values: np.ndarray):
-    """The trigonometric interpolant of M uniform samples, as a vectorized
-    callable: frequencies -M/2 .. M/2-1 (fftfreq order)."""
-    m = len(values)
-    fhat = np.fft.fft(values) / m  # fhat[k] multiplies z^k (k mod m, centered below)
-    ks = np.fft.fftfreq(m, 1.0 / m).astype(int)
-
-    def w(z):
-        z = np.asarray(z, dtype=np.complex128)
-        out = np.zeros(z.shape, dtype=np.complex128)
-        for k, c in zip(ks, fhat):
-            out += c * z ** k
-        return out
-
-    return w
-
-
 class CircleMeasure:
     """Density (closed-form or sampled) plus finite atom list.
 
@@ -106,14 +89,16 @@ class CircleMeasure:
         """Measure from M uniform density samples, M a power of two.
 
         Off-grid evaluation goes through the trigonometric interpolant of
-        the samples (Fourier coefficients of the sample array), so smooth
-        densities stay smooth.
+        the samples, a LaurentPoly on frequencies -M/2 .. M/2-1 (the
+        Nyquist term at -M/2) read off one FFT, so smooth densities stay
+        smooth.
         """
         values = np.asarray(values, dtype=np.complex128)
         m = len(values)
         if m < 2 or (m & (m - 1)) != 0:
             raise DomainError("sample count must be a power of two >= 2")
-        return CircleMeasure(_interpolant(values), kind=kind, samples=values)
+        density = LaurentPoly(np.fft.fftshift(np.fft.fft(values, norm="forward")), -(m // 2))
+        return CircleMeasure(density, kind=kind, samples=values)
 
     @staticmethod
     def from_atoms(atoms) -> "CircleMeasure":
@@ -134,26 +119,6 @@ class CircleMeasure:
             [(p, c * w) for p, w in self.atoms],
             kind=self.kind,
             samples=None if self.samples is None else c * self.samples,
-        )
-
-    def conjugate(self) -> "CircleMeasure":
-        """The measure mu-bar: conjugated density and atom weights.
-
-        A sampled density becomes the interpolant of the conjugated samples,
-        which puts the Nyquist term at -M/2 as in every sampled density.
-        """
-        density = samples = None
-        if self.samples is not None:
-            samples = np.conj(self.samples)
-            density = _interpolant(samples)
-        elif self.density is not None:
-            base = self.density
-            density = lambda z: np.conj(base(z))
-        return CircleMeasure(
-            density,
-            [(p, np.conj(w)) for p, w in self.atoms],
-            kind=self.kind + ":conj",
-            samples=samples,
         )
 
     # -- density access ----------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, MalformedPairError, StrippingError
+from .errors import HypothesisError, StrippingError
 from .laurent import LaurentPoly, convolve
 from .measures import CircleMeasure, circle_nodes
 
@@ -25,19 +25,6 @@ class NLFSPair:
     a: LaurentPoly
     b: LaurentPoly
     n: int
-
-    def validate(self, tol: float = 1e-9):
-        if not self.b.is_zero() and (self.b.lo < 1 or self.b.hi > self.n):
-            raise MalformedPairError(
-                f"b support [{self.b.lo},{self.b.hi}] outside [1,{self.n}]"
-            )
-        if self.a.is_zero() or self.a.lo < -self.n or self.a.hi > 0:
-            raise MalformedPairError(
-                f"a support outside [-{self.n},0]"
-            )
-        res = su2_residual(self.a, self.b)
-        if not res <= tol:  # a NaN fails
-            raise MalformedPairError(f"SU(2) residual {res:.3e} exceeds {tol:.1e}")
 
 
 def su2_residual(a: LaurentPoly, b: LaurentPoly) -> float:
@@ -575,58 +562,27 @@ LOG_FLOOR = -700.0
 def outer_from_modulus(logmod_samples, degree_cap: int = 256):
     """Analytic outer function with prescribed boundary log-modulus.
 
-    Takes log|g| on the uniform grid, forms the analytic completion
-    h = hhat_0 + 2 sum_{1<=k<=D} hhat_k z^k of its Fourier series, and
-    exponentiates the truncated series.  Returns (poly, max_abs_err) where
-    the error compares the boundary modulus of the result with the input.
+    Takes log|g| on the uniform grid of m nodes and forms the analytic
+    completion h = hhat_0 + 2 sum_{1<=k<=d} hhat_k z^k of its Fourier
+    series, d = min(degree_cap, m/2 - 1).  exp(h) is taken pointwise on
+    the grid and brought back by one FFT, truncated to degree d; the terms
+    above d that alias onto the grid are dropped with the rest.  Returns
+    (poly, max_abs_err, clamped): the error compares the result's modulus
+    on the grid with exp of the input, and clamped is whether any sample
+    was raised to LOG_FLOOR.
     """
     samples = np.asarray(logmod_samples, dtype=np.float64)
     clamped = bool(np.any(samples < LOG_FLOOR))
     samples = np.maximum(samples, LOG_FLOOR)
     m = len(samples)
     d = min(degree_cap, m // 2 - 1)
-    fhat = np.fft.fft(samples) / m
-    coeffs = np.zeros(d + 1, dtype=np.complex128)
-    coeffs[0] = fhat[0]
-    coeffs[1:] = 2.0 * fhat[1 : d + 1]
-    h = LaurentPoly(coeffs, 0)
-    result = exp_series(h, d)
-    grid = circle_nodes(m)
-    err = float(np.max(np.abs(np.abs(result(grid)) - np.exp(samples))))
-    return result, err, clamped
-
-
-def exp_series(h: LaurentPoly, degree_cap: int) -> LaurentPoly:
-    """exp of a truncated analytic series by scaling and squaring.
-
-    Splits off the constant term, scales the rest by 2^-m so its maximal
-    coefficient is <= 1/2, applies a 16-term Taylor expansion, and squares
-    m times, truncating to the degree cap throughout.
-    """
-    if h.is_zero():
-        return LaurentPoly.one()
-    if h.lo < 0:
-        raise MalformedPairError("exp_series expects an analytic series")
-    c0 = h[0]
-    hp = (h - c0).clip(0, degree_cap)
-    m = 0
-    norm = hp.max_abs()
-    while norm > 0.5:
-        norm /= 2.0
-        m += 1
-    t = hp.scale(2.0 ** -m)
-    acc = LaurentPoly.one()
-    term = LaurentPoly.one()
-    fact = 1.0
-    for k in range(1, 17):
-        term = (term * t).clip(0, degree_cap)
-        fact *= k
-        acc = acc + term.scale(1.0 / fact)
-        if term.is_zero():
-            break
-    for _ in range(m):
-        acc = (acc * acc).clip(0, degree_cap)
-    return acc.scale(np.exp(c0))
+    h = np.fft.fft(samples, norm="forward")
+    h[1 : d + 1] *= 2.0
+    h[d + 1 :] = 0.0
+    g = np.fft.fft(np.exp(np.fft.ifft(h, norm="forward")), norm="forward")
+    g[d + 1 :] = 0.0
+    err = float(np.max(np.abs(np.abs(np.fft.ifft(g, norm="forward")) - np.exp(samples))))
+    return LaurentPoly(g[: d + 1]), err, clamped
 
 
 def w_from_ab(a: LaurentPoly, b: LaurentPoly, m: int = 8192) -> np.ndarray:

@@ -39,14 +39,20 @@ def _ticks(lo: float, hi: float, log: bool):
 
 
 def line_chart(xs, series: dict, path, xlog=False, ylog=False, xlabel="", ylabel=""):
-    """Write a line chart of the named series against xs as standalone SVG."""
-    xs = [float(x) for x in xs]
-    if not xs or not series:
+    """Write a line chart of the named series against xs as standalone SVG.
+
+    A point whose x or value is NaN or infinite is left out of its series.
+    """
+    floor = 1e-300 if ylog else -math.inf  # a log axis lifts values <= 0 to 1e-300
+    series = {
+        k: [(float(x), max(v, floor)) for x, v in zip(xs, vs) if math.isfinite(x) and math.isfinite(v)]
+        for k, vs in series.items()
+    }
+    allx = [x for pts in series.values() for x, _ in pts]
+    allv = [v for pts in series.values() for _, v in pts]
+    if not allx:
         raise ConfigError("empty data for plot")
-    if ylog:
-        series = {k: [max(v, 1e-300) for v in vs] for k, vs in series.items()}
-    allv = [v for vs in series.values() for v in vs]
-    xlo, xhi = min(xs), max(xs)
+    xlo, xhi = min(allx), max(allx)
     ylo, yhi = min(allv), max(allv)
     if xlog and xlo <= 0:
         raise ConfigError("log x axis needs positive values")
@@ -111,11 +117,11 @@ def line_chart(xs, series: dict, path, xlog=False, ylog=False, xlabel="", ylabel
             f'<text x="14" y="{HEIGHT//2}" font-size="12" text-anchor="middle" '
             f'transform="rotate(-90 14 {HEIGHT//2})">{ylabel}</text>'
         )
-    for i, (name, vs) in enumerate(series.items()):
+    for i, (name, pts) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(v))}" for x, v in zip(xs, vs))
+        coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(v))}" for x, v in pts)
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         ly = MARGIN + 16 + 16 * i
         parts.append(

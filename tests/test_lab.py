@@ -278,6 +278,41 @@ def test_plot_and_missing_columns(tmp_path):
     assert code3 == 2
 
 
+def _plot_csv(tmp_path, rows):
+    csv = str(tmp_path / "data.csv")
+    write_csv(csv, ["n", "gap", "L"], rows, "deadbeef0000")
+    return csv
+
+
+@pytest.mark.parametrize("ylog", [False, True])
+def test_plot_leaves_out_non_finite_points(tmp_path, ylog):
+    # runners write NaN rows on failed certifications; those points are
+    # left out of their series instead of crashing the tick computation
+    csv = _plot_csv(tmp_path, [[1, 0.5, NAN], [2, INF, 0.25], [4, 0.125, -INF], [8, 0.0625, 0.03125]])
+    code, out = _run(tmp_path, "plot", {"csv": csv, "x": "n", "y": ["gap", "L"], "ylog": ylog})
+    assert code == 0
+    with open(os.path.join(out, "plot.svg")) as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.startswith("<polyline")]
+    assert [ln.count(",") for ln in lines] == [3, 2]
+    assert "nan" not in "".join(lines) and "inf" not in "".join(lines)
+
+
+def test_plot_with_no_finite_point_is_a_config_error(tmp_path, capsys):
+    csv = _plot_csv(tmp_path, [[1, 0.5, NAN], [2, 0.25, INF]])
+    code, _ = _run(tmp_path, "plot", {"csv": csv, "x": "n", "y": ["L"]})
+    assert code == 2
+    assert "empty data for plot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("y", ["gap", "L"])
+def test_plot_y_must_be_a_list(tmp_path, capsys, y):
+    # a string is not split into one-letter column names
+    csv = _plot_csv(tmp_path, [[1, 0.5, 0.25]])
+    code, _ = _run(tmp_path, "plot", {"csv": csv, "x": "n", "y": y})
+    assert code == 2
+    assert "y must be a non-empty list" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = {"degrees": [8], "points": {"count": 4}, "quadrature_m": 4096}
     _, out1 = _run(tmp_path, "universality", cfg, seed=5, out=str(tmp_path / "a"))
@@ -340,8 +375,11 @@ LACUNARY_PIN_CFG = {
 # Digests of the files these configs wrote at seed 0 when forward,
 # layer_strip and the ladder recursion stepped through LaurentPoly values;
 # the array-native recursions must reproduce them byte for byte.  The thm5
-# report's orthonormality_max (7.725112940632058e-15) is the rounding of the
-# Gram matrix over the moments, not of one quadrature per pairing.
+# report is that of the outer completion by one FFT exponential: against
+# the scaling and squaring on LaurentPoly values it replaced, coeffs moved
+# by at most 1.9e-18, b_residual_sup by 7.1e-18, c0_err by 3.5e-17 and
+# orthonormality_max (7.725112940632058e-15, the rounding of the Gram
+# matrix over the moments) by 1.2e-17, to 7.713316492360561e-15.
 PINNED_OUTPUT_SHA256 = [
     (
         "roundtrip",
@@ -359,7 +397,7 @@ PINNED_OUTPUT_SHA256 = [
         "thm5",
         {"b": [[0.3, 0.0], [0.0, 0.0], [0.2, 0.0]], "l1_degrees": [1, 4, 16]},
         "thm5_report.json",
-        "c2eceb9b5f24d520d607447ac5dce44d0cd2343156f751025bb9ae65840a01e1",
+        "cd85a3eaef80569f1eb19a3363261d3c170196f144230d6b5880b355194cec5c",
     ),
     # taken when ladder_eval ran the full SU(2) step at every degree: 16
     # coefficients run to degree 128, and the 32-entry fejer shape to 64, so

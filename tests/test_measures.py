@@ -100,12 +100,6 @@ def test_from_samples_requires_power_of_two():
         CircleMeasure.from_samples(np.ones(48))
 
 
-def test_conjugate_measure():
-    mu = CircleMeasure.mu_r(0.5)
-    mub = mu.conjugate()
-    assert abs(mub.moments(1)[2] - np.conj(mu.moments(1)[0])) < 1e-12
-
-
 def test_adaptive_matches_fixed_for_smooth_density():
     mu = CircleMeasure.mu_r(0.3)
     f = lambda z: z ** 2 / (1.5 - z.real)
@@ -161,32 +155,22 @@ def test_sampled_measure_keeps_its_samples():
     ks = np.arange(-8, 9)
     scale = 0.7 - 0.2j
     scaled = mu.scaled(scale)
-    conj = mu.conjugate()
     mixed = mu.with_atoms([(1j, 0.25)])
     assert np.array_equal(scaled.samples, scale * mu.samples)
-    assert np.array_equal(conj.samples, np.conj(mu.samples))
     assert mixed.samples is mu.samples
     assert np.max(np.abs(scaled.moments(8) - scale * c)) <= 1e-15
-    assert np.max(np.abs(conj.moments(8) - np.conj(c[::-1]))) <= 1e-15
     assert np.max(np.abs(mixed.moments(8) - (c + 0.25 * 1j ** ks))) <= 1e-15
-    assert CircleMeasure.mu_r(0.5).scaled(2.0).conjugate().samples is None
 
 
-def test_conjugate_of_samples_is_the_interpolant_of_conjugated_samples():
-    # 8 samples of 1 + 0.5i z^4 interpolate 1 + 0.5i z^-4 (the Nyquist term
-    # sits at -M/2); the conjugated samples interpolate 1 - 0.5i z^-4
+def test_sampled_density_puts_the_nyquist_term_at_minus_half():
+    # 8 samples of 1 + 0.5i z^4 interpolate 1 + 0.5i z^-4: the Nyquist term
+    # sits at -M/2
     values = 1 + 0.5j * (-1.0) ** np.arange(8)
     mu = CircleMeasure.from_samples(values)
-    conj = mu.conjugate()
     zs = circle_nodes(16)
-    exact = 1 - 0.5j * (-1j) ** np.arange(16)  # 1 - 0.5i z^-4 on the 16 nodes
-    assert np.max(np.abs(conj.density_on_grid(16) - exact)) <= 1e-15
-    # the interpolant's power sum rounds by 1.3e-15 here, conjugated or not
+    exact = 1 + 0.5j * (-1j) ** np.arange(16)  # 1 + 0.5i z^-4 on the 16 nodes
+    assert np.max(np.abs(mu.density_on_grid(16) - exact)) <= 1e-15
     assert np.max(np.abs(mu.density(zs) - mu.density_on_grid(16))) <= 2e-15
-    assert np.max(np.abs(conj.density(zs) - exact)) <= 2e-15
-    # moments below M/2 come from the samples and are those of mu-bar
-    assert np.array_equal(conj.moments(3), np.conj(mu.moments(3)[::-1]))
-    assert np.array_equal(conj.density(zs), CircleMeasure.from_samples(np.conj(values)).density(zs))
 
 
 def test_moments_domain_and_nonconvergence():
