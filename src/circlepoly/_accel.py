@@ -19,7 +19,9 @@ start state, straight into the output.  That is about 2B + L
 Python-level steps instead of one per coefficient, for twice the
 arithmetic, so blocking is used only from BLOCK_MIN_TOP nonzero steps at
 up to BLOCK_MAX_POINTS points.  Every other ladder takes the plain step
-loop (one block).
+loop (one block).  A caller that reads only some rows names them, and off
+the blocked path one state is then stepped in place, so memory does not
+grow with the ladder's length.
 """
 
 from __future__ import annotations
@@ -38,19 +40,24 @@ BLOCK_MIN_TOP = 1024
 BLOCK_MAX_POINTS = 256
 
 
-def ladder_eval(F, s):
-    """Evaluate the full normalized ladder at circle points.
+def ladder_eval(F, s, degrees=None):
+    """Evaluate the normalized ladder at circle points.
 
     Parameters
     ----------
     F : complex array, recursion coefficients F_1..F_N; trailing zeros
         (a ladder run past its last coefficient) cost one multiply per row
     s : complex array of points with |s| = 1
+    degrees : strictly increasing rows in 0..N to return, or None for all
+        N+1 rows.  Off the blocked path only one state is stepped, in place,
+        so memory does not grow with N; each row is bit for bit the row of
+        the all-rows call.
 
     Returns
     -------
-    (u, v) with shapes (N+1, len(s)): u[n] = phi_n(s), v[n] = phitilde_n(s).
-    Both are views of one (N+1, 2, len(s)) buffer.
+    (u, v) with shapes (R, len(s)), R = N+1 or len(degrees): row i holds
+    phi_n(s) and phitilde_n(s) at n = i or n = degrees[i].  Both are views
+    of one (R, 2, len(s)) buffer.
     Only valid for |s| = 1 (the recursion uses star = conjugate there).
     """
     F = np.ascontiguousarray(F, dtype=np.complex128)
@@ -59,10 +66,14 @@ def ladder_eval(F, s):
         raise ValueError("ladder_eval requires points on the unit circle")
     n = len(F)
     p = len(s)
+    if degrees is not None:
+        degrees = [int(d) for d in degrees]
+        if any(not 0 <= d <= n for d in degrees):
+            raise ValueError(f"ladder_eval degrees must lie in 0..{n}")
+        if any(b <= a for a, b in zip(degrees, degrees[1:])):
+            raise ValueError("ladder_eval degrees must be strictly increasing")
     nonzero = np.flatnonzero(F)
     top = int(nonzero[-1]) + 1 if len(nonzero) else 0
-    buf = np.empty((n + 1, 2, p), dtype=np.complex128)  # row k: (u_k, v_k)
-    buf[0] = 1.0
     fcs = np.conj(F[:top])
     # numpy divides a complex by a real rho as by rho + 0j, which multiplies
     # by the reciprocal 1/rho; multiplying by it directly is several times
@@ -70,15 +81,29 @@ def ladder_eval(F, s):
     invs = squares_and_inv_rho(F[:top])[1].astype(np.complex128)
     spow = np.ones((2, p), dtype=np.complex128)  # (s^k, -s^k)
     spow[1] = -1.0
-    done = 0
-    if top >= BLOCK_MIN_TOP and p <= BLOCK_MAX_POINTS:
-        done = _blocked(buf, s, fcs, invs, spow)
-    rows = zip(buf[done:top], buf[done + 1 : top + 1])
-    _steps(rows, s, spow, fcs[done:], invs[done:], np.empty((2, p), dtype=np.complex128))
+    t = np.empty((2, p), dtype=np.complex128)
+    blocked = top >= BLOCK_MIN_TOP and p <= BLOCK_MAX_POINTS
+    if degrees is not None and not blocked:
+        out = np.empty((len(degrees), 2, p), dtype=np.complex128)
+        x = np.ones((2, p), dtype=np.complex128)  # (u_k, v_k), stepped in place
+        k = 0
+        for row, d in zip(out, degrees):
+            _steps(repeat((x, x)), s, spow, fcs[k:d], invs[k:d], t)
+            # past the last nonzero F_k a step is multiplication by s
+            for _ in range(max(k, top), d):
+                np.multiply(s, x, x)
+            k = d
+            row[:] = x
+        return out[:, 0], out[:, 1]
+    buf = np.empty((n + 1, 2, p), dtype=np.complex128)  # row k: (u_k, v_k)
+    buf[0] = 1.0
+    done = _blocked(buf, s, fcs, invs, spow) if blocked else 0
+    _steps(zip(buf[done:top], buf[done + 1 : top + 1]), s, spow, fcs[done:], invs[done:], t)
     # past the last nonzero F_k a step is multiplication by s (rho = 1)
     for k in range(top, n):
-        np.multiply(s, buf[k, 0], buf[k + 1, 0])
-        np.multiply(s, buf[k, 1], buf[k + 1, 1])
+        np.multiply(s, buf[k], buf[k + 1])
+    if degrees is not None:
+        buf = buf[degrees]
     return buf[:, 0], buf[:, 1]
 
 

@@ -316,10 +316,10 @@ def run_lacunary(cfg, outdir, seed: int) -> int:
     F, pair, sup_b = _rescaled_below_threshold(F)
     points = _sample_points(cfg, rng)
     target = np.conj(1.0 / density_on_circle(pair.a(points), pair.b(points)) ** 2)
-    u, v = ladder_eval(_ladder_coeffs(F, max(degrees)), points)
+    u, v = ladder_eval(_ladder_coeffs(F, degrees[-1]), points, degrees)
     rows, qrows = [], []
-    for k, n in enumerate(degrees, start=1):
-        err = np.abs((np.conj(u[n]) * v[n]) ** 2 - target)
+    for k, (n, un, vn) in enumerate(zip(degrees, u, v), start=1):
+        err = np.abs((np.conj(un) * vn) ** 2 - target)
         for s, e in zip(points, err):
             rows.append([s.real, s.imag, k, n, e])
         q25, q50, q75 = np.quantile(err, [0.25, 0.5, 0.75])
@@ -479,11 +479,11 @@ def run_thm5(cfg, outdir, seed: int) -> int:
     d = min(ortho_degree, len(F))
     sys = ladder_from_coeffs(F[: max(d, 1)])
     ortho = orthonormality_residual(sys, mu, d, ortho_m)
-    u, v = ladder_eval(_ladder_coeffs(F, l1_degrees[-1]), nodes)
+    u, v = ladder_eval(_ladder_coeffs(F, l1_degrees[-1]), nodes, l1_degrees)
     winv = 1.0 / np.conj(wsamp)
     l1_rows = []
-    for n in l1_degrees:
-        dist = float(np.mean(np.abs(np.conj(u[n]) * v[n] - winv)))
+    for n, un, vn in zip(l1_degrees, u, v):
+        dist = float(np.mean(np.abs(np.conj(un) * vn - winv)))
         l1_rows.append([n, dist])
     report.update(
         {

@@ -89,15 +89,26 @@ class CircleMeasure:
         """Measure from M uniform density samples, M a power of two.
 
         Off-grid evaluation goes through the trigonometric interpolant of
-        the samples, a LaurentPoly on frequencies -M/2 .. M/2-1 (the
-        Nyquist term at -M/2) read off one FFT, so smooth densities stay
-        smooth.
+        the samples on frequencies -M/2 .. M/2-1 (the Nyquist term at
+        -M/2), read off one FFT, so smooth densities stay smooth.  It is
+        two Horner passes, each from the highest frequency down: one in z
+        over frequencies 0 .. M/2-1 and one in 1/z over -1 .. -M/2.  A
+        single pass in z over all M terms, times z^(-M/2), would step the
+        large low frequencies through about M/2 products and lose about two
+        digits.
         """
         values = np.asarray(values, dtype=np.complex128)
         m = len(values)
         if m < 2 or (m & (m - 1)) != 0:
             raise DomainError("sample count must be a power of two >= 2")
-        density = LaurentPoly(np.fft.fftshift(np.fft.fft(values, norm="forward")), -(m // 2))
+        fhat = np.fft.fft(values, norm="forward")
+        h = m // 2
+        pos = LaurentPoly(fhat[:h], 0)
+        neg = LaurentPoly(fhat[: h - 1 : -1], 1)  # c_{-1} .. c_{-M/2}, powers of 1/z
+
+        def density(z):
+            return pos(z) + neg(1.0 / np.asarray(z, dtype=np.complex128))
+
         return CircleMeasure(density, kind=kind, samples=values)
 
     @staticmethod
@@ -244,8 +255,13 @@ def l_functional(mu: CircleMeasure, s: complex, n: int, m: int = 65536) -> float
 def l_functional_table(mu: CircleMeasure, points, degrees, m: int = 65536) -> np.ndarray:
     """``l_functional`` at every (point, degree); shape (len(points), len(degrees)).
 
-    The density is sampled on the grid once, and |y - s|^2 and
-    |w(y) - w(s)| once per point.  The kernel min{n+1, 1/((n+1)|y-s|^2)} is
+    The density is sampled on the grid once.  Per point, the m nodes
+    centred on s (from the node c = m/2 places before the one nearest s,
+    wrapping round the grid) are copied in two slices into one reused
+    complex buffer, so the node nearest s sits at index c; the density
+    values pass through the same buffer.  |y - s|^2, |w(y) - w(s)| and
+    their ratio are written into three reused real buffers.  The kernel
+    min{n+1, 1/((n+1)|y-s|^2)} is
     n+1 exactly on the disk (n+1)^2 |y-s|^2 <= 1, and these disks shrink as
     n grows.  Outside that disk the kernel is 1/((n+1)|y-s|^2), so the sum
     of |w(y) - w(s)| / |y-s|^2 over the far nodes is taken once per point,
@@ -261,9 +277,8 @@ def l_functional_table(mu: CircleMeasure, points, degrees, m: int = 65536) -> np
         raise DomainError("n must be nonnegative")
     out = np.zeros((len(points), len(degrees)))
     if mu.density is not None and degrees:
-        # doubled, so that the m nodes centred on any node are one slice
-        nodes = np.concatenate([circle_nodes(m)] * 2)
-        wvals = np.concatenate([mu.density_on_grid(m)] * 2)
+        nodes = circle_nodes(m)
+        wvals = mu.density_on_grid(m)
         c = m // 2
         # degree n reads the window of level floor(log2(n+1)): c +- half[j]
         # holds every node with |y-s|^2 < 2/4^j, s being within half a node
@@ -274,13 +289,18 @@ def l_functional_table(mu: CircleMeasure, points, degrees, m: int = 65536) -> np
             min(c, math.ceil(m / math.pi * math.asin(2.0 ** (-j - 0.5))) + 1)
             for j in range(max(levels) + 1)
         ]
+        z = np.empty(m, dtype=np.complex128)
+        d2, dev, ratio = np.empty((3, m))
         for i, s in enumerate(points):
             start = (round(cmath.phase(s) * m / (2 * math.pi)) - c) % m
-            d2 = np.abs(nodes[start : start + m] - s) ** 2
-            dev = np.abs(wvals[start : start + m] - mu.density_at(s))
+            for grid, at_s, dist in ((nodes, s, d2), (wvals, mu.density_at(s), dev)):
+                z[: m - start] = grid[start:]
+                z[m - start :] = grid[:start]
+                np.abs(np.subtract(z, at_s, z), dist)
+            np.square(d2, d2)
             # a node coinciding with s divides by zero; it is in every window
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = dev / d2
+                np.divide(dev, d2, ratio)
             # far[j]: the sum of dev/d2 outside level j's window, ring by
             # ring from the outside in
             far, acc = [], 0.0

@@ -23,19 +23,27 @@ def _ticks(lo: float, hi: float, log: bool):
     if log:
         a, b = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
         return [10.0 ** e for e in range(a, b + 1)]
-    span = hi - lo or 1.0
-    step = 10 ** math.floor(math.log10(span / 4))
+    # half the span: hi - lo overflows for finite values near +-1e308, and
+    # halving a normal float is exact, so the steps and ticks are those of
+    # the full span
+    half = hi / 2 - lo / 2 or 0.5
+    step = 10 ** math.floor(math.log10(half / 2))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= 6:
+        if half / (step * mult) <= 3:
             step *= mult
             break
     first = math.ceil(lo / step) * step
     out = []
     t = first
-    while t <= hi + 1e-12 * abs(span):
+    while t <= hi + 2e-12 * half:
         out.append(t)
         t += step
     return out
+
+
+def _frac(v: float, lo: float, hi: float) -> float:
+    """(v - lo) / (hi - lo), from halves so that a finite range never overflows."""
+    return (v / 2 - lo / 2) / (hi / 2 - lo / 2)
 
 
 def line_chart(xs, series: dict, path, xlog=False, ylog=False, xlabel="", ylabel=""):
@@ -67,14 +75,14 @@ def line_chart(xs, series: dict, path, xlog=False, ylog=False, xlabel="", ylabel
         if xlog:
             f = (math.log10(x) - math.log10(xlo)) / (math.log10(xhi) - math.log10(xlo))
         else:
-            f = (x - xlo) / (xhi - xlo)
+            f = _frac(x, xlo, xhi)
         return MARGIN + f * (WIDTH - 2 * MARGIN)
 
     def sy(y):
         if ylog:
             f = (math.log10(y) - math.log10(ylo)) / (math.log10(yhi) - math.log10(ylo))
         else:
-            f = (y - ylo) / (yhi - ylo)
+            f = _frac(y, ylo, yhi)
         return HEIGHT - MARGIN - f * (HEIGHT - 2 * MARGIN)
 
     parts = [

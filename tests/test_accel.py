@@ -181,3 +181,42 @@ def test_determinant_identity_along_blocked_ladder():
     s = np.exp(2j * np.pi * rng.uniform(size=16))
     u, v = ladder_eval(F, s)
     assert np.max(np.abs(np.abs(u) ** 2 + np.abs(v) ** 2 - 2.0)) < 1e-9
+
+
+# -- requested rows only -------------------------------------------------------
+
+
+def _F(top, zeros, seed=7):
+    return np.concatenate([_random_F(np.random.default_rng(seed), top, 0.3), np.zeros(zeros)])
+
+
+@pytest.mark.parametrize(
+    "F,degrees,blocked",
+    [
+        (_F(40, 0), [1, 5, 17, 39], False),
+        (_F(40, 300), [3, 39, 40, 41, 100, 340], False),
+        (_F(40, 300), [60, 61, 250], False),
+        (_F(1024, 100), [0, 1, 511, 1023, 1024, 1100], True),
+        (_F(30, 10), [0, 40], False),
+        (_F(30, 10), list(range(41)), False),
+        (_F(30, 10), [], False),
+        (np.zeros(0), [0], False),
+        (np.zeros(0), [], False),
+    ],
+    ids=["plain", "zero-tail", "tail-only", "blocked", "0-and-N", "every-row", "empty", "length-0", "length-0-empty"],
+)
+def test_requested_rows_match_all_rows_bitwise(monkeypatch, F, degrees, blocked):
+    calls = _spy_blocked(monkeypatch)
+    s = np.exp(2j * np.pi * np.random.default_rng(len(F)).uniform(size=64))
+    u, v = ladder_eval(F, s, degrees)
+    assert calls == ([np.count_nonzero(F)] if blocked else [])
+    u_all, v_all = ladder_eval(F, s)
+    assert u.shape == v.shape == (len(degrees), len(s))
+    assert u.tobytes() == u_all[degrees].tobytes()
+    assert v.tobytes() == v_all[degrees].tobytes()
+
+
+@pytest.mark.parametrize("degrees", [[-1], [0, 11], [2, 2], [5, 3]])
+def test_requested_rows_must_be_increasing_and_in_range(degrees):
+    with pytest.raises(ValueError):
+        ladder_eval(_F(10, 0), np.array([1.0 + 0j]), degrees)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,19 @@ def test_plot_leaves_out_non_finite_points(tmp_path, ylog):
     assert "nan" not in "".join(lines) and "inf" not in "".join(lines)
 
 
+def test_plot_of_a_range_wider_than_the_largest_float(tmp_path):
+    # 1e308 - (-1e308) overflows to inf; the ticks and coordinates are
+    # formed from halves of the values instead
+    csv = _plot_csv(tmp_path, [[1, -1e308, 0.5], [2, 1e308, 0.25], [-1e308, 0.0, 1e308]])
+    code, out = _run(tmp_path, "plot", {"csv": csv, "x": "n", "y": ["gap", "L"], "ylog": False})
+    assert code == 0
+    with open(os.path.join(out, "plot.svg")) as fh:
+        svg = fh.read()
+    assert "nan" not in svg and "inf" not in svg
+    assert svg.count("<polyline") == 2
+    assert ">-1e+308</text>" in svg and ">1e+308</text>" in svg
+
+
 def test_plot_with_no_finite_point_is_a_config_error(tmp_path, capsys):
     csv = _plot_csv(tmp_path, [[1, 0.5, NAN], [2, 0.25, INF]])
     code, _ = _run(tmp_path, "plot", {"csv": csv, "x": "n", "y": ["L"]})
@@ -311,6 +325,27 @@ def test_plot_y_must_be_a_list(tmp_path, capsys, y):
     code, _ = _run(tmp_path, "plot", {"csv": csv, "x": "n", "y": y})
     assert code == 2
     assert "y must be a non-empty list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,cfg,mib",
+    [("lacunary", None, 4), ("thm5", {"b": [[0.3, 0.0], [0.0, 0.0], [0.2, 0.0]]}, 6), ("universality", None, 7)],
+)
+def test_runner_working_memory(tmp_path, command, cfg, mib):
+    # tracemalloc peak of one run at the benchmark's configs, seed 1.  The
+    # all-rows ladder (lacunary's 9,369 rows, thm5's 33 rows at 8,192 nodes)
+    # and l_functional_table's doubled 2m-node arrays peaked at 18.9, 9.5 and
+    # 8.5 MiB; only the rows and the centred window a runner reads take
+    # 0.6, 3.0 and 5.1 MiB
+    assert _run(tmp_path, command, cfg, seed=1)[0] == 0  # fills the grid caches
+    tracemalloc.start()
+    try:
+        code, _ = _run(tmp_path, command, cfg, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= mib * 2**20
 
 
 def test_determinism_byte_identical(tmp_path):
