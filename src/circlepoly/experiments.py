@@ -41,7 +41,7 @@ from .nlfs import (
     outer_from_modulus,
     w_from_ab,
 )
-from .szego import extract_coeffs, ladder_from_coeffs, orthonormality_residual, plancherel_table
+from .szego import extract_coeffs, ladder_from_coeffs, plancherel_table, verify_system
 from .svgplot import line_chart
 
 
@@ -69,7 +69,8 @@ def write_csv(path, columns, rows, cfg_hash: str):
 
 
 def read_csv(path):
-    """Return (columns, rows-of-floats), skipping comment lines."""
+    """Return (columns, rows-of-floats), skipping comment lines; every row
+    must have as many cells as the header."""
     if not os.path.exists(path):
         raise ConfigError(f"no such CSV file: {path}")
     with open(path) as fh:
@@ -81,6 +82,8 @@ def read_csv(path):
         rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
     except ValueError as e:
         raise ConfigError(f"CSV file {path} has a non-numeric cell") from e
+    if any(len(row) != len(columns) for row in rows):
+        raise ConfigError(f"CSV file {path} has a row whose cell count differs from the header's")
     return columns, rows
 
 
@@ -477,8 +480,7 @@ def run_thm5(cfg, outdir, seed: int) -> int:
     mu = CircleMeasure.from_samples(wsamp, kind="thm5")
     c0_err = float(abs(np.mean(wsamp) - 1.0))
     d = min(ortho_degree, len(F))
-    sys = ladder_from_coeffs(F[: max(d, 1)])
-    ortho = orthonormality_residual(sys, mu, d, ortho_m)
+    ortho = verify_system(ladder_from_coeffs(F[:d]), mu, ortho_m).orthonormality_max
     u, v = ladder_eval(_ladder_coeffs(F, l1_degrees[-1]), nodes, l1_degrees)
     winv = 1.0 / np.conj(wsamp)
     l1_rows = []

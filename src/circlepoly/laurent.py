@@ -18,6 +18,10 @@ FFT_THRESHOLD = 128
 
 class LaurentPoly:
     __slots__ = ("lo", "coeffs")
+    # a value, not a sequence: p[k] is 0 outside the window, so iterating by
+    # index would never end; numpy operands defer to the reflected operators
+    __iter__ = None
+    __array_ufunc__ = None
 
     def __init__(self, coeffs, lo: int = 0, trim: bool = True):
         c = np.asarray(coeffs, dtype=np.complex128)
@@ -34,32 +38,6 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def views(buf: np.ndarray, bounds) -> list:
-        """LaurentPolys on the slices buf[bounds[i]:bounds[i+1]] of a
-        read-only one-dimensional complex128 array, each from frequency 0.
-
-        Each is trimmed as the constructor trims but not copied: it shares
-        buf's memory, and keeping it alive keeps all of buf alive.
-        """
-        if buf.dtype != np.complex128 or buf.ndim != 1 or buf.flags.writeable:
-            raise ValueError("views need a read-only 1-D complex128 array")
-        bounds = np.asarray(bounds)
-        first, stop = bounds[:-1], bounds[1:]
-        # the constructor's test for every slice at once
-        whole = stop > first
-        whole[whole] = (buf[first[whole]] != 0) & (buf[stop[whole] - 1] != 0)
-        bounds = bounds.tolist()
-        new, put = object.__new__, object.__setattr__
-        out = []
-        for a, b, w in zip(bounds, bounds[1:], whole.tolist()):
-            c, lo = (buf[a:b], 0) if w else _trim(buf[a:b], 0)
-            p = new(LaurentPoly)
-            put(p, "coeffs", c)
-            put(p, "lo", lo)
-            out.append(p)
-        return out
 
     @staticmethod
     def zero() -> "LaurentPoly":

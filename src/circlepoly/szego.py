@@ -43,9 +43,9 @@ class OrthoSystem:
     degree n.  Read by an integer index on a Tminus system, a row comes
     from the SU(2) pair (a, b) = forward(F[:n]) as z^n (a + b*) (phi) or
     z^n (a - b*) (phitilde), in O(n log n), and no other row is built.
-    Iterating or slicing phi or phitilde, ``monic``, ``ladder`` and every
-    all-row reader in this module read the packed ladder instead, which
-    is built on first use and kept; a Tplus system reads every row from it.
+    Iterating or slicing phi or phitilde, ``monic`` and every all-row
+    reader here read the packed ladder (``ladder``) instead, which is
+    built on first use and kept; a Tplus system reads every row from it.
     """
 
     F: np.ndarray
@@ -53,7 +53,7 @@ class OrthoSystem:
     class_tag: str = T_MINUS
     # 1/rho per step, formed with norms for the packed ladder's build
     _invs: np.ndarray = field(default=None, repr=False)
-    _rows: tuple = field(default=None, init=False, repr=False)
+    _rows: np.ndarray = field(default=None, init=False, repr=False)
     _pair: tuple = field(default=None, init=False, repr=False)
 
     @property
@@ -68,11 +68,16 @@ class OrthoSystem:
     def phitilde(self) -> _Rows:
         return _Rows(self, 1)
 
-    def ladder(self) -> tuple:
-        """The lists (phi, phitilde) of all rows, from the packed ladder."""
+    def ladder(self) -> np.ndarray:
+        """The read-only packed ladder: a (2, (N+1)(N+2)/2) array whose
+        first row holds phi's coefficients and second phitilde's, degree n
+        on degrees 0..n at ``_row_slice(n)``."""
         if self._rows is None:
             self._rows = _packed_ladder(self.F, self._invs, self.class_tag)
         return self._rows
+
+    def _packed_row(self, side: int, n: int) -> LaurentPoly:
+        return LaurentPoly(self.ladder()[side, _row_slice(n)])
 
     def _row(self, side: int, n: int) -> LaurentPoly:
         """Row n of phi (side 0) or phitilde (side 1), by the SU(2) pair
@@ -83,7 +88,7 @@ class OrthoSystem:
         if not 0 <= n <= self.size:
             raise IndexError(f"row {n} of a ladder over degrees 0..{self.size}")
         if self.class_tag != T_MINUS:
-            return self.ladder()[side][n]
+            return self._packed_row(side, n)
         if self._pair is None or self._pair[0] != n:
             pair = forward(self.F[:n])
             self._pair = (n, pair.a, pair.b.star())
@@ -91,10 +96,10 @@ class OrthoSystem:
         return (a + bs if side == 0 else a - bs).shift(n)
 
     def monic(self, n: int) -> LaurentPoly:
-        return self.ladder()[0][n] * np.sqrt(self.norms[n])
+        return self._packed_row(0, n) * np.sqrt(self.norms[n])
 
     def monic_tilde(self, n: int) -> LaurentPoly:
-        return self.ladder()[1][n] * np.sqrt(self.norms[n])
+        return self._packed_row(1, n) * np.sqrt(self.norms[n])
 
 
 class _Rows:
@@ -111,11 +116,11 @@ class _Rows:
         return self._sys.size + 1
 
     def __iter__(self):
-        return iter(self._sys.ladder()[self._side])
+        return (self._sys._packed_row(self._side, n) for n in range(len(self)))
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return self._sys.ladder()[self._side][k]
+            return [self._sys._packed_row(self._side, n) for n in range(len(self))[k]]
         return self._sys._row(self._side, k)
 
 
@@ -142,23 +147,26 @@ def ladder_from_coeffs(F, cls: str = T_MINUS) -> OrthoSystem:
     return OrthoSystem(F=F, norms=norms, class_tag=cls, _invs=invs)
 
 
-def _packed_ladder(F, invs, cls) -> tuple:
+def _row_slice(n: int) -> slice:
+    """Where row n, on degrees 0..n, sits in the packed ladder."""
+    return slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)
+
+
+def _packed_ladder(F, invs, cls) -> np.ndarray:
     """Rows of phi and phitilde over degrees 0..n, filled in place into one
-    packed triangular buffer (row n starts at n(n+1)/2), which is then
-    made read-only; the rows are LaurentPoly views into it, so a single
-    row kept alive keeps the whole buffer alive."""
+    packed triangular buffer (row n at ``_row_slice(n)``), which is then
+    made read-only."""
     size = len(F)
     # per step, conj(F) against phitilde's row and -+conj(F) against phi's
     coefs = np.empty((size, 2, 1), dtype=np.complex128)
     coefs[:, 0, 0] = np.conj(F)
     coefs[:, 1, 0] = (-1.0 if cls == T_MINUS else 1.0) * coefs[:, 0, 0]
-    starts = np.arange(size + 2) * np.arange(1, size + 3) // 2
-    rows = np.zeros((2, starts[-1]), dtype=np.complex128)  # phi, phitilde
+    rows = np.zeros((2, _row_slice(size).stop), dtype=np.complex128)  # phi, phitilde
     rows[:, 0] = 1.0
     work = np.empty((2, size), dtype=np.complex128)
     for n in range(size):
-        prev = rows[:, starts[n] : starts[n + 1]]
-        new = rows[:, starts[n + 1] : starts[n + 2]]
+        prev = rows[:, _row_slice(n)]
+        new = rows[:, _row_slice(n + 1)]
         # adding into zeros, like the zero padding of a LaurentPoly sum,
         # turns a -0 entry into +0, which keeps the result bitwise equal
         shifted = new[:, 1:]
@@ -170,7 +178,7 @@ def _packed_ladder(F, invs, cls) -> tuple:
         np.add(low, w, low)
         np.multiply(new, invs[n], new)
     rows.setflags(write=False)
-    return tuple(LaurentPoly.views(row, starts) for row in rows)
+    return rows
 
 
 def extract_coeffs(Phi, PhiTilde):
@@ -274,42 +282,6 @@ class SystemReport:
         return float(np.max([self.orthonormality_max, self.det_identity_max, self.monic_norm_max]))
 
 
-def _dense(p: LaurentPoly, n: int) -> np.ndarray:
-    """Coefficients of a polynomial on degrees 0..n: its own array when it
-    spans them (for a ladder row, a view into the packed buffer), else a
-    zero-padded copy."""
-    return p.coeffs if p.lo == 0 and len(p.coeffs) == n + 1 else p.window(0, n)
-
-
-def _coeff_matrix(polys, d) -> np.ndarray:
-    """Coefficient rows on degrees 0..d of polynomials of degree at most d."""
-    rows = np.zeros((len(polys), d + 1), dtype=np.complex128)
-    for j, p in enumerate(polys):
-        rows[j, p.lo : p.hi + 1] = p.coeffs
-    return rows
-
-
-def _gram(left, right, T) -> np.ndarray:
-    """Pairings <left[j], right[k]>_mu = A T B^H of polynomials of degree
-    at most d, from their coefficient rows A, B and the (d+1)x(d+1)
-    moment matrix T."""
-    d = len(T) - 1
-    return _coeff_matrix(left, d) @ T @ _coeff_matrix(right, d).conj().T
-
-
-def _orthonormality(sys: OrthoSystem, T) -> float:
-    d = len(T) - 1
-    phi, phitilde = sys.ladder()
-    gram = _gram(phi[: d + 1], phitilde[: d + 1], T)
-    return float(np.max(np.abs(gram - np.eye(d + 1))))
-
-
-def orthonormality_residual(sys: OrthoSystem, mu: CircleMeasure, d: int, m: int = 4096) -> float:
-    """max |<phi_j, phitilde_k>_mu - delta_jk| over 0 <= j, k <= d, read as
-    max |A T B^H - I| from one moment vector of mu."""
-    return _orthonormality(sys, _moment_matrix(mu.moments(d, m), d))
-
-
 def verify_system(
     sys: OrthoSystem, mu: CircleMeasure, m: int = 4096, grid: int = 512
 ) -> SystemReport:
@@ -317,13 +289,16 @@ def verify_system(
     monic pairing against the stored norms.  Failures are reported, not
     raised.
 
-    All three read the coefficient rows A, B of the stored ladders: the
+    All three read the coefficient rows A, B of the packed ladder: the
     Gram matrix A T B^H, the rows' values at the grid nodes (the grid-th
     roots of unity) by one FFT per ladder, and the Gram diagonal of the
     rows scaled by sqrt(norms)."""
     n_max = sys.size
     T = _moment_matrix(mu.moments(n_max, m), n_max)
-    A, B = (_coeff_matrix(rows, n_max) for rows in sys.ladder())
+    # the packed rows are the lower triangles of A and B in row-major order
+    A, B = np.zeros((2, n_max + 1, n_max + 1), dtype=np.complex128)
+    tri = np.tril_indices(n_max + 1)
+    A[tri], B[tri] = sys.ladder()
     ortho = float(np.max(np.abs(A @ T @ B.conj().T - np.eye(n_max + 1))))
     # a DFT of length size, a multiple of grid, evaluates the rows at the
     # size-th roots of unity e^{-2 pi i k / size}; every (size/grid)-th of
@@ -424,12 +399,12 @@ def _plancherel_sides(sys: OrthoSystem, pairs) -> list:
     """
     if sys.class_tag != T_MINUS:
         raise DomainError("the Plancherel rhs sum log(1+|F|^2) is the Tminus one")
-    used = {i for pair in pairs for i in pair}
     phi, phitilde = sys.ladder()
-    rows = {i: (_dense(phi[i], i), _dense(phitilde[i], i)) for i in used}
     by_degree = {}
     for k, (l, m) in enumerate(pairs):
-        by_degree.setdefault(m - l - 1, []).append((k, _plancherel_poly(*rows[l], *rows[m])))
+        sl, sm = _row_slice(l), _row_slice(m)
+        R = _plancherel_poly(phi[sl], phitilde[sl], phi[sm], phitilde[sm])
+        by_degree.setdefault(m - l - 1, []).append((k, R))
     out = [None] * len(pairs)
     for d, group in by_degree.items():
         # a failed pair gets R = 1 + ... + z^d, so the eigenproblem stays finite

@@ -50,6 +50,16 @@ def test_read_csv_errors(tmp_path):
         read_csv(str(text))
 
 
+@pytest.mark.parametrize("cells", ["1", "1,2,3"])
+def test_plot_of_a_ragged_csv_is_a_config_error(tmp_path, capsys, cells):
+    csv = tmp_path / "ragged.csv"
+    csv.write_text(f"n,gap\n1,0.5\n{cells}\n")
+    code, _ = _run(tmp_path, "plot", {"csv": str(csv), "x": "n", "y": ["gap"]})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ragged.csv" in err and "cell count" in err
+
+
 def test_config_hash_is_order_independent():
     assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
     assert config_hash({"a": 1}) != config_hash({"a": 2})
@@ -456,6 +466,24 @@ PINNED_OUTPUT_SHA256 = [
         "06d4f85191d23931cbf34f90729055e5967e2a10f94729d226b48d20e8356c5e",
     ),
 ]
+
+
+# thm5_report.json at seed 1 with the orthonormality check at degrees 0 and
+# 1, where the Gram matrix is 1x1 over a ladder of no coefficient and 2x2
+# over one; taken when thm5 read it from a ladder of F[:max(d, 1)]
+THM5_ORTHO_SHA256 = {
+    0: "617bf731f07bf776ba4c32e918f7b041f394a128da60eab29ac98889e273cdf5",
+    1: "e2b144a80032c28eeb2d33a40ee2e6cd17a91832b79bf9830aec836c23630bde",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(THM5_ORTHO_SHA256))
+def test_thm5_low_ortho_degree_bytes_pinned(tmp_path, degree):
+    cfg = {"b": [[0.3, 0.0], [0.0, 0.0], [0.2, 0.0]], "ortho_degree": degree}
+    code, out = _run(tmp_path, "thm5", cfg, seed=1)
+    assert code == 0
+    with open(os.path.join(out, "thm5_report.json"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == THM5_ORTHO_SHA256[degree]
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,20 @@ def test_getitem_out_of_window():
     assert p[5] == 0
 
 
+def test_not_iterable_and_numpy_scalars_defer():
+    # p[k] is 0 outside the window, so index-based iteration would never
+    # end; checked first, so that a regression fails instead of hanging
+    p = LaurentPoly([1.0, 2.0], lo=3)
+    with pytest.raises(TypeError):
+        iter(p)
+    with pytest.raises(TypeError):
+        np.asarray(p)
+    with pytest.raises(TypeError):
+        np.ones(2) * p
+    assert np.float64(2.0) * p == p * 2.0
+    assert np.complex128(1j) + p == p + 1j
+
+
 def test_immutability():
     p = LaurentPoly([1, 2])
     with pytest.raises(AttributeError):

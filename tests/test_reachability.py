@@ -79,10 +79,9 @@ LIBRARY_API = {
     "szego._Rows.__init__": ROWS,
     "szego._Rows.__iter__": ROWS,
     "szego._Rows.__len__": ROWS,
-    "szego.SystemReport.max_residual": "the report of verify_system, which only perfbench calls",
+    "szego.SystemReport.max_residual": "read by perfbench and the tests; thm5 reads orthonormality_max only",
     "szego.monic_from_moments": "the moment route; awaits roundtrip's F -> moments -> F column (ROADMAP item 2)",
     "szego.plancherel_check": BENCHMARK,
-    "szego.verify_system": BENCHMARK,
 }
 
 

@@ -24,10 +24,9 @@ from circlepoly.cli import main
 from circlepoly.szego import (
     SystemReport,
     _jensen_sums,
-    _gram,
     _moment_matrix,
     _plancherel_poly,
-    orthonormality_residual,
+    _row_slice,
 )
 from circlepoly.errors import (
     DomainError,
@@ -244,7 +243,11 @@ def test_gram_matches_pairing_loop(which):
     else:
         F, mu = _pipeline_measure()
     sys = ladder_from_coeffs(np.concatenate([F, np.zeros(d)])[:d])
-    gram = _gram(sys.phi, sys.phitilde, _moment_matrix(mu.moments(d, 4096), d))
+    # A T B^H from the coefficient rows of the packed ladder
+    A, B = np.zeros((2, d + 1, d + 1), dtype=np.complex128)
+    for k in range(d + 1):
+        A[k, : k + 1], B[k, : k + 1] = sys.ladder()[:, _row_slice(k)]
+    gram = A @ _moment_matrix(mu.moments(d, 4096), d) @ B.conj().T
     # the reference: one adaptive quadrature per pair
     ref = np.array(
         [
@@ -253,8 +256,8 @@ def test_gram_matches_pairing_loop(which):
         ]
     )
     assert np.max(np.abs(gram - ref)) < 1e-13
-    assert orthonormality_residual(sys, mu, d) == np.max(np.abs(gram - np.eye(d + 1)))
-    assert orthonormality_residual(sys, mu, d) < 1e-12
+    ortho = verify_system(sys, mu).orthonormality_max
+    assert ortho == np.max(np.abs(gram - np.eye(d + 1))) and ortho < 1e-12
 
 
 def test_verify_system_at_n64():
@@ -281,8 +284,9 @@ def test_verify_system_reads_the_stored_rows():
         )
         assert abs(verify_system(sys, mu, grid=grid).det_identity_max - horner) < 1e-14
     assert clean.max_residual() < 1e-12
-    phi, _ = sys.ladder()
-    phi[7] = phi[7] + LaurentPoly([1e-6], 3)
+    rows = sys.ladder().copy()  # the stored rows, with phi_7 + 1e-6 z^3
+    rows[0, _row_slice(7).start + 3] += 1e-6
+    sys._rows = rows
     bad = verify_system(sys, mu)
     assert bad.orthonormality_max > 1e-7 and bad.det_identity_max > 1e-7
 
@@ -299,10 +303,10 @@ def test_single_row_matches_packed_row(n, radius):
     single = {k: (sys.phi[k], sys.phitilde[k]) for k in ks}
     assert sys._rows is None  # no packed ladder behind a single row
     for k in ks:
-        for one, ref in zip(single[k], (row[k] for row in sys.ladder())):
+        for one, ref in zip(single[k], sys.ladder()[:, _row_slice(k)]):
             assert one.hi == k and one.coeffs.base is None
-            err = np.max(np.abs(one.window(0, k) - ref.window(0, k)))
-            assert err <= 1e-13 * ref.max_abs()
+            err = np.max(np.abs(one.window(0, k) - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_single_row_indices():
@@ -321,8 +325,8 @@ def test_tplus_single_rows_are_the_packed_rows():
     sys = ladder_from_coeffs(_random_F(np.random.default_rng(19), 20, 0.6), T_PLUS)
     single = [(sys.phi[k], sys.phitilde[k]) for k in range(21)]
     for k, pair in enumerate(single):
-        for one, ref in zip(pair, (row[k] for row in sys.ladder())):
-            assert one.lo == ref.lo and one.coeffs.tobytes() == ref.coeffs.tobytes()
+        for one, ref in zip(pair, sys.ladder()[:, _row_slice(k)]):
+            assert one.hi == k and one.window(0, k).tobytes() == ref.tobytes()
 
 
 def test_one_row_at_n2048_builds_no_ladder():
@@ -351,10 +355,10 @@ def test_orthonormality_propagates_nan():
     samples = np.ones(64, dtype=complex)
     samples[5] = np.nan
     mu = CircleMeasure.from_samples(samples)
-    assert np.isnan(orthonormality_residual(sys, mu, 2))
+    assert np.isnan(verify_system(sys, mu).orthonormality_max)
     assert np.isnan(verify_system(sys, mu).max_residual())
     bad = ladder_from_coeffs(np.array([0.5, np.nan]))
-    assert np.isnan(orthonormality_residual(bad, CircleMeasure.mu_r(0.5), 2))
+    assert np.isnan(verify_system(bad, CircleMeasure.mu_r(0.5)).orthonormality_max)
 
 
 def test_plancherel_zero_coeffs_is_tight():
@@ -467,8 +471,9 @@ def test_plancherel_spill_fails_closed():
     sys = ladder_from_coeffs(_random_F(rng, 6, 0.5))
     lhs, rhs, zeros = plancherel_check(sys, 2, 5)
     assert lhs <= rhs + 1e-8 and zeros >= 0
-    phi, _ = sys.ladder()  # the stored rows plancherel_check reads
-    phi[5] = phi[5] + LaurentPoly([1e-6])
+    rows = sys.ladder().copy()  # the stored rows plancherel_check reads, with phi_5 + 1e-6
+    rows[0, _row_slice(5).start] += 1e-6
+    sys._rows = rows
     lhs, rhs2, zeros = plancherel_check(sys, 2, 5)
     assert np.isnan(lhs) and zeros == -1 and rhs2 == rhs
     table = {(l, m): lhs for l, m, lhs, _, _ in plancherel_table(sys)}
