@@ -31,7 +31,7 @@ from itertools import repeat
 import numpy as np
 
 from .measures import on_circle
-from .nlfs import squares_and_inv_rho
+from .nlfs import refuse_overflow, squares_and_inv_rho
 
 # there is no compiled path; kept for callers that report the backend
 USE_NUMBA = False
@@ -78,7 +78,7 @@ def ladder_eval(F, s, degrees=None):
     # numpy divides a complex by a real rho as by rho + 0j, which multiplies
     # by the reciprocal 1/rho; multiplying by it directly is several times
     # faster and gives the same bits, but for the sign of a zero part
-    invs = squares_and_inv_rho(F[:top])[1].astype(np.complex128)
+    invs = refuse_overflow(F[:top], squares_and_inv_rho(F[:top])[1]).astype(np.complex128)
     spow = np.ones((2, p), dtype=np.complex128)  # (s^k, -s^k)
     spow[1] = -1.0
     t = np.empty((2, p), dtype=np.complex128)

@@ -197,6 +197,17 @@ class LaurentPoly:
             acc = acc * z_arr ** self.lo
         return acc if np.ndim(z) else complex(acc)
 
+    def on_grid(self, m: int) -> np.ndarray:
+        """Values at the m nodes e^{2 pi i k / m} of ``circle_nodes(m)``,
+        from one inverse FFT of the coefficients folded mod m: z^m = 1 on
+        the grid, so frequencies equal mod m share a bin, whatever the
+        window.  Horner (``__call__``) is for points off the grid."""
+        if m < 1:
+            raise DomainError("node count must be positive")
+        folded = np.zeros(m, dtype=np.complex128)
+        np.add.at(folded, np.arange(self.lo, self.lo + len(self.coeffs)) % m, self.coeffs)
+        return np.fft.ifft(folded, norm="forward")
+
 
 def _trim(c: np.ndarray, lo: int):
     """c without its zero end entries, and the frequency of its first

@@ -145,6 +145,8 @@ class CircleMeasure:
             if m < n and n % m == 0:
                 # coarser uniform grids share nodes with the sample grid
                 return samples[:: n // m].copy()
+            fhat = np.fft.fftshift(np.fft.fft(samples, norm="forward"))
+            return LaurentPoly(fhat, -(n // 2)).on_grid(m)
         return np.asarray(self.density(circle_nodes(m)), dtype=np.complex128)
 
     def density_at(self, s) -> complex:
@@ -255,19 +257,20 @@ def l_functional(mu: CircleMeasure, s: complex, n: int, m: int = 65536) -> float
 def l_functional_table(mu: CircleMeasure, points, degrees, m: int = 65536) -> np.ndarray:
     """``l_functional`` at every (point, degree); shape (len(points), len(degrees)).
 
-    The density is sampled on the grid once.  Per point, the m nodes
-    centred on s (from the node c = m/2 places before the one nearest s,
-    wrapping round the grid) are copied in two slices into one reused
-    complex buffer, so the node nearest s sits at index c; the density
-    values pass through the same buffer.  |y - s|^2, |w(y) - w(s)| and
-    their ratio are written into three reused real buffers.  The kernel
-    min{n+1, 1/((n+1)|y-s|^2)} is
-    n+1 exactly on the disk (n+1)^2 |y-s|^2 <= 1, and these disks shrink as
-    n grows.  Outside that disk the kernel is 1/((n+1)|y-s|^2), so the sum
-    of |w(y) - w(s)| / |y-s|^2 over the far nodes is taken once per point,
-    ring by ring, and each degree reads only the nodes in a window around s.
-    Which rings and which window an entry reads depends on its own n alone,
-    so every entry equals the one-entry ``l_functional`` bit for bit.
+    The density is sampled on the grid once.  Per point, y - s over the m
+    nodes centred on s (from the node c = m/2 places before the one nearest
+    s, wrapping round the grid) is written from two slices of the grid into
+    one reused complex buffer, so the node nearest s sits at index c; w(y) -
+    w(s) passes through it too.  |y - s|^2, |w(y) - w(s)| and their ratio
+    go into three reused real buffers.  The kernel min{n+1, 1/((n+1)|y-s|^2)}
+    is n+1 exactly on the disk (n+1)^2 |y-s|^2 <= 1, which shrinks as n
+    grows and, as |y - s| grows away from node c on either side, is one run
+    of nodes.  Outside it the kernel is 1/((n+1)|y-s|^2), so the sum of
+    |w(y) - w(s)| / |y-s|^2 over the far nodes is taken once per point, ring
+    by ring, and each degree reads only the nodes in a window around s: the
+    disk and the two runs beside it, as slices.  Which rings and which
+    window an entry reads depends on its own n alone, so every entry equals
+    the one-entry ``l_functional`` bit for bit.
     """
     points = [complex(s) for s in points]
     degrees = list(degrees)
@@ -294,9 +297,9 @@ def l_functional_table(mu: CircleMeasure, points, degrees, m: int = 65536) -> np
         for i, s in enumerate(points):
             start = (round(cmath.phase(s) * m / (2 * math.pi)) - c) % m
             for grid, at_s, dist in ((nodes, s, d2), (wvals, mu.density_at(s), dev)):
-                z[: m - start] = grid[start:]
-                z[m - start :] = grid[:start]
-                np.abs(np.subtract(z, at_s, z), dist)
+                np.subtract(grid[start:], at_s, z[: m - start])
+                np.subtract(grid[:start], at_s, z[m - start :])
+                np.abs(z, dist)
             np.square(d2, d2)
             # a node coinciding with s divides by zero; it is in every window
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -309,10 +312,13 @@ def l_functional_table(mu: CircleMeasure, points, degrees, m: int = 65536) -> np
                 acc += np.sum(ratio[c + inner + 1 : c + outer + 1])
                 far.append(acc)
             for k, (n, j) in enumerate(zip(degrees, levels)):
-                window = slice(c - half[j], c + half[j] + 1)
-                sat = d2[window] * (n + 1.0) ** 2 <= 1.0
-                tail = (np.sum(ratio[window][~sat]) + far[j]) / (n + 1.0)
-                out[i, k] = float(((n + 1.0) * np.sum(dev[window][sat]) + tail) / m)
+                lo, hi = c - half[j], c + half[j] + 1
+                sat = d2[lo:hi] * (n + 1.0) ** 2 <= 1.0
+                # the disk is the run [a, b) of the window [lo, hi)
+                a = lo + int(np.argmax(sat))
+                b = a + int(np.count_nonzero(sat))
+                tail = (np.sum(np.concatenate((ratio[lo:a], ratio[b:hi]))) + far[j]) / (n + 1.0)
+                out[i, k] = float(((n + 1.0) * np.sum(dev[a:b]) + tail) / m)
     for i, s in enumerate(points):
         for p, wt in mu.atoms:
             d2 = abs(p - s) ** 2

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisError, StrippingError
+from .errors import DomainError, HypothesisError, StrippingError
 from .laurent import LaurentPoly, convolve
-from .measures import CircleMeasure, circle_nodes
+from .measures import CircleMeasure
 
 B_SUP_THRESHOLD = 2 ** -0.5
 
@@ -51,6 +51,16 @@ def squares_and_inv_rho(F, sign=1.0):
         sq = [x ** 2 for x in h]
     sq = np.reshape(np.array(sq, dtype=np.float64), F.shape)
     return sq, 1.0 / np.sqrt(1.0 + sign * sq)
+
+
+def refuse_overflow(F, invs):
+    """invs, the 1/rho_j of F; DomainError at the first finite F_j, counted
+    down each column of F in turn, whose |F_j|^2 overflows: its 1/rho_j is
+    0, which would zero the pair.  A NaN or infinite F_j propagates NaN."""
+    bad = np.flatnonzero(((invs == 0) & np.isfinite(F)).T)
+    if bad.size:
+        raise DomainError(f"|F_{bad[0] + 1}|^2 overflows a double (|F_j| = {abs(F.T.flat[bad[0]]):.3e})")
+    return invs
 
 
 def forward(F) -> NLFSPair:
@@ -94,7 +104,7 @@ def _leaves(F):
     (F_j z^j a + b) / rho) with rho = sqrt(1+|F_j|^2), in place for
     every column at once."""
     m = len(F)
-    _, invs = squares_and_inv_rho(F)
+    invs = refuse_overflow(F, squares_and_inv_rho(F)[1])
     a = np.zeros((m + 1, F.shape[1]), dtype=np.complex128)
     b = np.zeros(F.shape, dtype=np.complex128)
     a[m] = 1.0
@@ -545,10 +555,9 @@ def layer_strip_truncated(a: LaurentPoly, b: LaurentPoly, steps: int, bandwidth:
         wlo = -bandwidth
     a = LaurentPoly(a_arr, lo)
     b = LaurentPoly(b_arr, 1)
-    grid = circle_nodes(2048)
-    av, bv = a(grid), b(grid)
+    av, bv = a.on_grid(2048), b.on_grid(2048)
     report = {
-        "b_residual_sup": float(np.max(np.abs(bv))) if not b.is_zero() else 0.0,
+        "b_residual_sup": float(np.max(np.abs(bv))),
         "su2_grid_residual": float(
             np.max(np.abs(np.abs(av) ** 2 + np.abs(bv) ** 2 - 1.0))
         ),
@@ -591,9 +600,7 @@ def w_from_ab(a: LaurentPoly, b: LaurentPoly, m: int = 8192) -> np.ndarray:
     Requires grid sup of |b| strictly below 2^{-1/2}; this threshold is
     sharp, beyond it the limiting object is no longer a measure.
     """
-    nodes = circle_nodes(m)
-    av = a(nodes)
-    bv = b(nodes)
+    av, bv = a.on_grid(m), b.on_grid(m)
     bmax = float(np.max(np.abs(bv)))
     if not bmax < B_SUP_THRESHOLD - 1e-9:  # a NaN b fails
         raise HypothesisError(

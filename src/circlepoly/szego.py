@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, MalformedLadderError, NearSingularMomentError
 from .laurent import LaurentPoly
 from .measures import CircleMeasure
-from .nlfs import forward, squares_and_inv_rho
+from .nlfs import forward, refuse_overflow, squares_and_inv_rho
 
 T_MINUS = "Tminus"
 T_PLUS = "Tplus"
@@ -142,6 +142,7 @@ def ladder_from_coeffs(F, cls: str = T_MINUS) -> OrthoSystem:
         raise DomainError("Tplus recursion requires |F_j| < 1")
     sign = -1.0 if cls == T_PLUS else 1.0
     sq, invs = squares_and_inv_rho(F, sign)
+    refuse_overflow(F, invs)
     # cumprod is the sequential product norms[n] * (1 -+ |F_{n+1}|^2)
     norms = np.cumprod(np.concatenate(([1.0], 1.0 + sign * sq)))
     return OrthoSystem(F=F, norms=norms, class_tag=cls, _invs=invs)

@@ -38,3 +38,19 @@ def forward(F, dps=50):
             np.array([complex(x) for x in a], dtype=np.complex128),
             np.array([complex(x) for x in b], dtype=np.complex128),
         )
+
+
+def grid_values(coeffs, lo, m, ks, dps=40):
+    """Sum_j coeffs[j] z^(lo + j) at the nodes z = e^{2 pi i k / m}, k in
+    ks, as a complex128 array, each value rounded once from `dps` digits."""
+    out = []
+    with mpmath.workdps(dps):
+        cs = [mpmath.mpc(c.real, c.imag) for c in np.asarray(coeffs, dtype=np.complex128)]
+        for k in ks:
+            z = mpmath.expjpi(mpmath.mpf(2 * int(k)) / m)
+            zk, total = z ** lo, mpmath.mpc(0)
+            for c in cs:
+                total += c * zk
+                zk *= z
+            out.append(complex(total))
+    return np.array(out, dtype=np.complex128)

@@ -37,6 +37,18 @@ def test_csv_roundtrip(tmp_path):
     assert rows == [[1.0, 2.5], [3.0, -0.125]]
 
 
+def test_csv_cells_keep_their_format(tmp_path):
+    # integers in full, everything else as a float to 17 digits
+    path = str(tmp_path / "t.csv")
+    row = [10 ** 18, 2 ** 70, np.int64(-5), True, NAN, -0.0, INF, np.float64(0.1), 1.5]
+    write_csv(path, list("abcdefghi"), [row, row[::-1]], "deadbeef0000")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    cells = "1000000000000000000,1180591620717411303424,-5,1,nan,-0,inf,0.10000000000000001,1.5"
+    assert lines[2] == cells
+    assert lines[3] == ",".join(cells.split(",")[::-1])
+
+
 def test_read_csv_errors(tmp_path):
     with pytest.raises(ConfigError):
         read_csv(str(tmp_path / "missing.csv"))
@@ -189,6 +201,34 @@ def test_thm5_pipeline(tmp_path):
     assert report["orthonormality_max"] < 1e-8
     _, rows = read_csv(os.path.join(out, "thm5_l1.csv"))
     assert rows[-1][1] < rows[0][1]
+
+
+def test_thm5_residuals_are_at_rounding(tmp_path):
+    # a and b are read on the grid by FFT, so the density's c_0 and the
+    # clipped pair's grid residual carry no Horner rounding
+    code, out = _run(tmp_path, "thm5", {"b": [[0.3, 0.0], [0.0, 0.0], [0.2, 0.0]]}, seed=1)
+    assert code == 0
+    with open(os.path.join(out, "thm5_report.json")) as fh:
+        report = json.load(fh)
+    for key in ("orthonormality_max", "c0_err", "su2_grid_residual"):
+        assert report[key] <= 1e-15, key
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("lacunary", {"coeffs": {"explicit": [[1e300, 0.0]]}}),
+        ("roundtrip", {"radius": 1e200, "trials": 1}),
+        ("fejer", {"shape": {"explicit": [[1.0, 0.0]]}, "epsilons": [1e200, 5e199]}),
+    ],
+)
+def test_a_coefficient_whose_square_overflows_is_a_config_error(tmp_path, capsys, command, cfg):
+    # it used to give the zero pair: lacunary exited 0 with NaN errors and
+    # roundtrip 4
+    with np.errstate(over="ignore"):
+        code, _ = _run(tmp_path, command, cfg)
+    assert code == 2
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_thm5_single_coefficient_family(tmp_path):
@@ -424,7 +464,12 @@ LACUNARY_PIN_CFG = {
 # the scaling and squaring on LaurentPoly values it replaced, coeffs moved
 # by at most 1.9e-18, b_residual_sup by 7.1e-18, c0_err by 3.5e-17 and
 # orthonormality_max (7.725112940632058e-15, the rounding of the Gram
-# matrix over the moments) by 1.2e-17, to 7.713316492360561e-15.
+# matrix over the moments) by 1.2e-17, to 7.713316492360561e-15.  Since a
+# and b are read on the grid by one FFT instead of Horner over a's 257
+# coefficients times z^-256, the density's rounding is gone: coeffs moved
+# by at most 5.7e-18, b_residual_sup from 1.3458658513553942e-17 to
+# 1.366326272559654e-17, c0_err from 6.6e-15 to 0.0, su2_grid_residual
+# from 4.9e-15 to 0.0 and orthonormality_max to 2.2206390636941933e-16.
 PINNED_OUTPUT_SHA256 = [
     (
         "roundtrip",
@@ -442,7 +487,7 @@ PINNED_OUTPUT_SHA256 = [
         "thm5",
         {"b": [[0.3, 0.0], [0.0, 0.0], [0.2, 0.0]], "l1_degrees": [1, 4, 16]},
         "thm5_report.json",
-        "cd85a3eaef80569f1eb19a3363261d3c170196f144230d6b5880b355194cec5c",
+        "5c53e5286a3bfdbacd0013ca31b92347dd9ace36d9460026058de90cbc89382a",
     ),
     # taken when ladder_eval ran the full SU(2) step at every degree: 16
     # coefficients run to degree 128, and the 32-entry fejer shape to 64, so
@@ -470,10 +515,14 @@ PINNED_OUTPUT_SHA256 = [
 
 # thm5_report.json at seed 1 with the orthonormality check at degrees 0 and
 # 1, where the Gram matrix is 1x1 over a ladder of no coefficient and 2x2
-# over one; taken when thm5 read it from a ladder of F[:max(d, 1)]
+# over one; taken when thm5 read it from a ladder of F[:max(d, 1)], and
+# re-taken when a and b came to be read on the grid by FFT: the moves of
+# PINNED_OUTPUT_SHA256's thm5 entry, with orthonormality_max going from
+# 6.678832113442223e-15 to 1.8115917159401349e-19 at degree 0 and from
+# 7.713316492360561e-15 to 2.2206390636941933e-16 at degree 1
 THM5_ORTHO_SHA256 = {
-    0: "617bf731f07bf776ba4c32e918f7b041f394a128da60eab29ac98889e273cdf5",
-    1: "e2b144a80032c28eeb2d33a40ee2e6cd17a91832b79bf9830aec836c23630bde",
+    0: "bbb11a637a657cf4645abaa5554ee3f5c5796dd73c3493255fea2635a456da54",
+    1: "fd8954972ae4ff26bb491f158a4a403004f4d6897d676165afb2ddbb3ed6576d",
 }
 
 

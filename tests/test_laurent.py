@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlepoly import LaurentPoly, Z, ONE
+import oracles
+from circlepoly import LaurentPoly, Z, ONE, circle_nodes, outer_from_modulus
 from circlepoly.errors import DomainError
 from circlepoly.laurent import FFT_THRESHOLD, convolve
 
@@ -132,6 +133,48 @@ def test_eval_vectorized_matches_scalar():
     vec = p(zs)
     for z, v in zip(zs, vec):
         assert abs(p(complex(z)) - v) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "lo,length,m",
+    [(-5, 9, 16), (3, 40, 16), (-37, 100, 24), (-2, 7, 7), (0, 1, 1)],
+    ids=["negative-lo", "span-above-m", "aliased-not-pow2", "odd-m", "one-node"],
+)
+def test_on_grid_matches_the_oracle(lo, length, m):
+    # frequencies equal mod m share a node value, so a window wider than m
+    # folds exactly; every m is allowed
+    rng = np.random.default_rng(length)
+    c = rng.normal(size=length) + 1j * rng.normal(size=length)
+    p = LaurentPoly(c, lo)
+    got = p.on_grid(m)
+    exact = oracles.grid_values(c, lo, m, range(m))
+    assert got.shape == (m,)
+    assert np.max(np.abs(got - exact)) <= 1e-14 * np.sum(np.abs(c))
+    assert np.allclose(got, p(circle_nodes(m)), rtol=0, atol=1e-12 * np.sum(np.abs(c)))
+
+
+def test_on_grid_of_zero_and_of_nan():
+    assert LaurentPoly.zero().on_grid(12).tobytes() == np.zeros(12, dtype=np.complex128).tobytes()
+    # one NaN coefficient makes every value NaN, so that a sup over the grid
+    # is NaN and fails its threshold
+    p = LaurentPoly([0.3, np.nan, 0.2], 1)
+    assert np.all(np.isnan(p.on_grid(64)))
+    with pytest.raises(DomainError):
+        p.on_grid(0)
+
+
+def test_on_grid_rounds_thm5s_a_no_worse_than_horner():
+    # a on [-256, 0] completes thm5's test b; Horner steps all 257
+    # coefficients through z and then multiplies by z^-256
+    b = LaurentPoly([0.3, 0.0, 0.2], 1)
+    a = outer_from_modulus(0.5 * np.log1p(-np.abs(b.on_grid(8192)) ** 2), 256)[0].star()
+    assert (a.lo, a.hi) == (-256, 0)
+    ks = np.arange(0, 8192, 61)
+    exact = oracles.grid_values(a.coeffs, a.lo, 8192, ks)
+    fft_err = np.max(np.abs(a.on_grid(8192)[ks] - exact))
+    horner_err = np.max(np.abs(a(circle_nodes(8192)[ks]) - exact))
+    assert fft_err <= horner_err
+    assert fft_err <= 1e-15
 
 
 def test_convolve_paths_agree():

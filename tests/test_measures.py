@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -92,6 +93,9 @@ def test_from_samples_roundtrip():
     assert np.allclose(mu.density_on_grid(m), vals)
     assert np.allclose(mu.density_on_grid(2 * m)[::2], vals)
     assert np.allclose(mu.density_on_grid(m // 2), vals[::2])
+    # a grid that is neither a multiple nor a divisor reads the interpolant by FFT
+    other = circle_nodes(48)
+    assert np.max(np.abs(mu.density_on_grid(48) - (1.0 + 0.3 * other + 0.3 * np.conj(other)))) <= 1e-15
     assert abs(mu.density_at(zs[3]) - vals[3]) < 1e-12
 
 
@@ -298,6 +302,69 @@ def test_l_functional_table_matches_one_degree_formula(mu):
                 assert abs(table[i, k] - expected) <= 1e-14 * abs(expected)
                 assert l_functional(mu, s, n, m) == table[i, k]
     assert l_functional_table(mu, [1.0], [], 64).shape == (1, 0)
+
+
+def _l_functional_table_masks(mu, points, degrees, m):
+    """l_functional_table as it read each degree's disk and its complement
+    through boolean masks, from grids copied into the buffer."""
+    out = np.zeros((len(points), len(degrees)))
+    nodes, wvals = circle_nodes(m), mu.density_on_grid(m)
+    c = m // 2
+    levels = [int(n + 1).bit_length() - 1 for n in degrees]
+    half = [
+        min(c, math.ceil(m / math.pi * math.asin(2.0 ** (-j - 0.5))) + 1)
+        for j in range(max(levels) + 1)
+    ]
+    z = np.empty(m, dtype=np.complex128)
+    d2, dev, ratio = np.empty((3, m))
+    for i, s in enumerate(points):
+        start = (round(cmath.phase(s) * m / (2 * math.pi)) - c) % m
+        for grid, at_s, dist in ((nodes, s, d2), (wvals, mu.density_at(s), dev)):
+            z[: m - start] = grid[start:]
+            z[m - start :] = grid[:start]
+            np.abs(np.subtract(z, at_s, z), dist)
+        np.square(d2, d2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(dev, d2, ratio)
+        far, acc = [], 0.0
+        for outer, inner in zip([c] + half, half):
+            acc += np.sum(ratio[c - outer : c - inner])
+            acc += np.sum(ratio[c + inner + 1 : c + outer + 1])
+            far.append(acc)
+        for k, (n, j) in enumerate(zip(degrees, levels)):
+            window = slice(c - half[j], c + half[j] + 1)
+            sat = d2[window] * (n + 1.0) ** 2 <= 1.0
+            tail = (np.sum(ratio[window][~sat]) + far[j]) / (n + 1.0)
+            out[i, k] = float(((n + 1.0) * np.sum(dev[window][sat]) + tail) / m)
+    for i, s in enumerate(points):
+        for p, wt in mu.atoms:
+            d2 = abs(p - s) ** 2
+            for k, n in enumerate(degrees):
+                kern = n + 1.0 if d2 == 0 else min(n + 1.0, 1.0 / ((n + 1.0) * d2))
+                out[i, k] += kern * abs(wt)
+    return out
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        CircleMeasure.mu_r(0.4).with_atoms([(1j, 0.2)]),
+        CircleMeasure.from_samples(1.0 + 0.4 * circle_nodes(64) ** 3 + 0.2j * np.conj(circle_nodes(64))),
+    ],
+    ids=["density+atom", "samples"],
+)
+@pytest.mark.parametrize("m", [64, 1023, 4096])
+def test_l_functional_table_reads_the_disk_as_the_masks_did(mu, m):
+    # the disk and its complement are read as runs of the window, bit for
+    # bit the masked reads; at the largest degree the disk around a point
+    # half a node off holds no node, and around a node only that node
+    nodes = circle_nodes(m)
+    points = [1.0, 1j, nodes[-1], np.exp(1j * np.pi / m), np.exp(0.3j), np.exp(-2.1j)]
+    degrees = [0, 3, 16, 100, 2 * m]
+    got = l_functional_table(mu, points, degrees, m)
+    assert got.tobytes() == _l_functional_table_masks(mu, points, degrees, m).tobytes()
+    in_disk = [np.count_nonzero(np.abs(nodes - s) ** 2 * (2 * m + 1.0) ** 2 <= 1.0) for s in points]
+    assert in_disk[0] == in_disk[2] == 1 and in_disk[3] == 0
 
 
 @pytest.mark.parametrize("bad", [-1.0, 1.0, np.exp(0.3j)], ids=["far", "at-s", "in-window"])
