@@ -53,8 +53,8 @@ def _load_config(path):
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config parse error at line {e.lineno}, col {e.colno}: {e.msg}")
+    except ValueError as e:  # a JSONDecodeError, or an integer past Python's digit limit
+        raise ConfigError(f"config parse error: {e}")
 
 
 def main(argv=None) -> int:

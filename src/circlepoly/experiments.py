@@ -1,7 +1,7 @@
 """Experiment harness behind the command line interface.
 
-Each run_* function takes an effective config dict (defaults already
-merged), an output directory, and a seeded generator; it writes CSV/JSON
+Each run_* function takes a config dict, read against its subcommand's
+schema table, an output directory and a seed; it writes CSV/JSON
 artifacts and returns a process exit code: 0 for success, 3 when a bound
 or invariant that the run is supposed to certify fails.  Config problems
 raise ConfigError (exit 2 in the CLI), numerical breakdowns raise the
@@ -42,6 +42,7 @@ from .nlfs import (
     outer_from_modulus,
     w_from_ab,
 )
+from .schema import OPTIONAL, REQUIRED, integer, list_of, of_type, pair, pairs, power_of_two, read_config, real
 from .szego import extract_coeffs, ladder_from_coeffs, plancherel_table, verify_system
 from .svgplot import line_chart
 
@@ -89,130 +90,87 @@ def read_csv(path):
     return columns, rows
 
 
-def _merge_defaults(cfg: dict, defaults: dict, optional=()) -> dict:
-    """The defaults updated by cfg.  A key that is neither a default nor
-    one of the runner's optional keys is refused, so that a misspelt or
-    retired key cannot run silently and only move the config hash."""
-    if cfg is None:
-        cfg = {}
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = sorted(map(str, set(cfg) - set(defaults) - set(optional)))
-    if unknown:
-        known = ", ".join(sorted([*defaults, *optional]))
-        raise ConfigError(f"unknown config keys {', '.join(unknown)} (known: {known})")
-    out = dict(defaults)
-    out.update(cfg)
-    return out
+# The working-memory budget, 256 MiB in complex entries of 16 B: the most
+# a config may ask of one array, or of the product of two keys sizing one
+MAX_ENTRIES = 2 ** 24
+MAX_SERIES = 2 ** 18  # forward and layer_strip hold about 750 B per coefficient
+MAX_LADDER = 4094  # a packed ladder to degree n takes 16 (n+1)(n+2) B
 
 
-def _int(value, what: str, lo: int = 1) -> int:
-    """An integer config value of at least ``lo``.  A non-integral or
-    non-finite float (JSON has Infinity) is refused, not truncated."""
-    try:
-        if isinstance(value, float) and not value.is_integer():
-            raise ValueError(value)
-        n = int(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{what} must be an integer") from e
-    if n < lo:
-        raise ConfigError(f"{what} must be >= {lo}")
-    return n
+def _within_budget(entries: int, what: str):
+    if entries > MAX_ENTRIES:
+        raise ConfigError(f"{what} asks for {entries} entries, above the budget of {MAX_ENTRIES}")
 
 
-def _float(value, what: str) -> float:
-    """A real config value.  NaN passes, so that a certification fails on it."""
-    try:
-        return float(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{what} must be a number") from e
-
-
-def _list(values, what: str, size: int | None = None) -> list:
-    """A non-empty list, of exactly ``size`` entries when given."""
-    if not isinstance(values, list) or not values or size not in (None, len(values)):
-        raise ConfigError(f"{what} must be a non-empty list" + (f" of {size}" if size else ""))
-    return values
-
-
-def _complex_list(items, what: str):
-    try:
-        return np.array([complex(v[0], v[1]) for v in items], dtype=np.complex128)
-    except (TypeError, IndexError) as e:
-        raise ConfigError(f"{what} must be a list of [re, im] pairs") from e
-
-
-def _random_disk(rng, count: int, radius: float) -> np.ndarray:
+def _random_disk(rng, count: int, radius: float, real_only=False) -> np.ndarray:
     r = radius * np.sqrt(rng.uniform(size=count))
     th = rng.uniform(0.0, 2 * np.pi, size=count)
-    return r * np.exp(1j * th)
+    vals = r * np.exp(1j * th)
+    return vals.real.astype(np.complex128) if real_only else vals
 
 
-def _sample_points(cfg, rng) -> np.ndarray:
+# The nested specs.  A random source reads into (size, draw), draw a function
+# of the generator, so a runner validates all before it draws, in its order.
+
+POINTS_SCHEMA = {"explicit": (OPTIONAL, pairs), "count": (OPTIONAL, integer, 1, MAX_QUAD_NODES)}
+RANDOM_SCHEMA = {"count": (256, integer, 1, MAX_SERIES), "radius": (0.05, real), "real": (False, of_type, bool)}
+SCHEDULE_SCHEMA = {
+    "base": (1.5, real),
+    "count": (20, integer, 1, MAX_QUAD_NODES),
+    "start": (4, integer, 1, MAX_QUAD_NODES),
+}
+
+
+def _points(value, what: str):
     """Circle points from {"explicit": [[re,im],...]} or {"count": N}."""
-    spec = cfg.get("points", {"count": 64})
-    if isinstance(spec, dict) and "explicit" in spec:
-        pts = _complex_list(_list(spec["explicit"], "points.explicit"), "points.explicit")
-        if not on_circle(pts):
-            raise ConfigError("explicit points must lie on the unit circle")
-        return pts
-    if isinstance(spec, dict) and "count" in spec:
-        count = _int(spec["count"], "points.count")
-        return np.exp(2j * np.pi * rng.uniform(size=count))
-    raise ConfigError("points must give 'explicit' pairs or a 'count'")
+    _, v = read_config(value, POINTS_SCHEMA, what)
+    pts, count = v["explicit"], v["count"]
+    if (pts is None) == (count is None):
+        raise ConfigError(f"{what} must give either 'explicit' pairs or a 'count'")
+    if count is not None:
+        return count, lambda rng: np.exp(2j * np.pi * rng.uniform(size=count))
+    if not len(pts) or not on_circle(pts):
+        raise ConfigError(f"{what}.explicit must be points on the unit circle, at least one")
+    return len(pts), lambda rng: pts
 
 
-def _coeff_source(cfg, rng, key="coeffs"):
-    """Recursion coefficients from explicit values or a random draw."""
-    spec = cfg.get(key)
-    if spec is None:
-        raise ConfigError(f"config needs a '{key}' entry")
-    if isinstance(spec, dict) and "explicit" in spec:
-        return _complex_list(spec["explicit"], f"{key}.explicit")
-    if isinstance(spec, dict) and "random" in spec:
-        rnd = spec["random"]
-        if not isinstance(rnd, dict):
-            raise ConfigError(f"'{key}.random' must be an object")
-        count = _int(rnd.get("count", 256), f"{key}.random.count")
-        radius = _float(rnd.get("radius", 0.05), f"{key}.random.radius")
-        if radius <= 0:
-            raise ConfigError(f"{key}.random needs a positive radius")
-        vals = _random_disk(rng, count, radius)
-        if rnd.get("real"):
-            vals = vals.real.astype(np.complex128)
-        return vals
-    raise ConfigError(f"'{key}' must give 'explicit' values or a 'random' draw")
+def _random_coeffs(value, what: str):
+    """count coefficients uniform in the disk of the radius, real if "real"."""
+    _, v = read_config(value, RANDOM_SCHEMA, what)
+    if v["radius"] <= 0:
+        raise ConfigError(f"{what} needs a positive radius")
+    return v["count"], lambda rng: _random_disk(rng, v["count"], v["radius"], v["real"])
 
 
-def _bounded(degrees: list) -> list:
-    """The degrees, refused when the largest exceeds MAX_QUAD_NODES, the
-    largest grid a quadrature may build, before anything of that size is
-    allocated."""
-    if max(degrees) > MAX_QUAD_NODES:
-        raise ConfigError(f"degrees must be at most {MAX_QUAD_NODES}, got {max(degrees)}")
-    return degrees
+COEFFS_SCHEMA = {"explicit": (OPTIONAL, pairs), "random": (OPTIONAL, _random_coeffs)}
 
 
-def _schedule(cfg) -> list:
-    """Degree schedule: explicit list or lacunary base/count/start."""
-    spec = cfg.get("degrees", {"base": 1.5, "count": 20, "start": 4})
-    if isinstance(spec, list):
-        return _bounded([_int(n, "degrees") for n in _list(spec, "degrees")])
-    if isinstance(spec, dict):
-        base = _float(spec.get("base", 1.5), "degrees.base")
-        count = _int(spec.get("count", 20), "degrees.count")
-        start = _int(spec.get("start", 4), "degrees.start")
-        if not base > 1.0:  # a NaN base fails
-            raise ConfigError("lacunary schedule needs base > 1")
-        ns = [start]
-        try:
-            # a schedule stops growing at its first degree past the bound
-            while len(ns) < count and ns[-1] <= MAX_QUAD_NODES:
-                ns.append(max(int(np.ceil(base * ns[-1])), ns[-1] + 1))
-        except OverflowError as e:  # an infinite base * n
-            raise ConfigError("lacunary schedule overflows; lower its base or count") from e
-        return _bounded(ns)
-    raise ConfigError("degrees must be a list or a base/count/start object")
+def _coeff_source(value, what: str):
+    _, v = read_config(value, COEFFS_SCHEMA, what)
+    explicit, rnd = v["explicit"], v["random"]
+    if (explicit is None) == (rnd is None):
+        raise ConfigError(f"{what} must give either 'explicit' values or a 'random' draw")
+    return rnd or (len(explicit), lambda rng: explicit)
+
+
+def _schedule(value, what: str) -> list:
+    """Degree schedule: explicit list or lacunary base/count/start, its largest
+    degree at most MAX_QUAD_NODES, the largest grid a quadrature may build."""
+    if not isinstance(value, dict):
+        return list_of(value, what, None, integer, 1, MAX_QUAD_NODES)
+    _, v = read_config(value, SCHEDULE_SCHEMA, what)
+    if not v["base"] > 1.0:  # a NaN base fails
+        raise ConfigError("lacunary schedule needs base > 1")
+    ns = [v["start"]]
+    try:
+        # a schedule stops growing at its first degree past the bound
+        while len(ns) < v["count"] and ns[-1] <= MAX_QUAD_NODES:
+            ns.append(max(int(np.ceil(v["base"] * ns[-1])), ns[-1] + 1))
+    except OverflowError as e:  # an infinite base * n
+        raise ConfigError("lacunary schedule overflows; lower its base or count") from e
+    if ns[-1] > MAX_QUAD_NODES:
+        raise ConfigError(f"{what} must be at most {MAX_QUAD_NODES}, got {ns[-1]}")
+    return ns
 
 
 def _ladder_coeffs(F, n: int) -> np.ndarray:
@@ -236,12 +194,13 @@ def _rescaled_below_threshold(F, margin=0.01, grid=4096):
 
 # -- universality -----------------------------------------------------------
 
-UNIVERSALITY_DEFAULTS = {
-    "measure": {"kind": "mu_r", "r": 0.5},
-    "degrees": [8, 16, 32, 64, 128, 256, 512],
-    "points": {"count": 64},
-    "C": 2.0,
-    "quadrature_m": 65536,
+UNIVERSALITY_SCHEMA = {
+    "measure": ({"kind": "mu_r", "r": 0.5}, measure_from_json),
+    "coeffs": (OPTIONAL, _coeff_source),
+    "degrees": ([8, 16, 32, 64, 128, 256, 512], _schedule),
+    "points": ({"count": 64}, _points),
+    "C": (2.0, real),
+    "quadrature_m": (65536, integer, 1, MAX_QUAD_NODES),
 }
 
 
@@ -252,30 +211,23 @@ def gap_and_bound(ws, kn, dn, n: int, C: float, lval: float):
 
 def run_universality(cfg, outdir, seed: int) -> int:
     """Diagonal universality gap vs its L-functional bound, per (s, n)."""
-    cfg = _merge_defaults(cfg, UNIVERSALITY_DEFAULTS, optional=("coeffs",))
+    cfg, val = read_config(cfg, UNIVERSALITY_SCHEMA)
     cfg["seed"] = seed
-    rng = np.random.default_rng(seed)
-    mu = measure_from_json(cfg["measure"])
-    if "coeffs" in cfg:
-        F = _coeff_source(cfg, rng)
-    elif hasattr(mu, "r"):
-        F = np.array([mu.r], dtype=np.complex128)
-    elif cfg["measure"]["kind"] == "uniform":
-        F = np.zeros(0, dtype=np.complex128)
-    else:
-        raise ConfigError(
-            "this measure has no built-in coefficients; supply 'coeffs'"
-        )
-    C = _float(cfg["C"], "C")
-    degrees = sorted(set(_schedule(cfg)))
+    mu, C = val["measure"], val["C"]
+    if val["coeffs"] is None and not hasattr(mu, "r") and cfg["measure"]["kind"] != "uniform":
+        raise ConfigError("only mu_r ([r]) and uniform (none) give built-in coefficients; supply 'coeffs'")
+    degrees = sorted(set(val["degrees"]))
     if degrees[0] < 2 * C:
         raise ConfigError(f"smallest degree must satisfy n >= 2C = {2 * C:g}")
-    points = _sample_points(cfg, rng)
-    m = _int(cfg["quadrature_m"], "quadrature_m")
+    npoints, draw_points = val["points"]
+    _within_budget((degrees[-1] + 1) * npoints, "(largest degree + 1) x points")
+    rng = np.random.default_rng(seed)
+    F = val["coeffs"][1](rng) if val["coeffs"] else np.array([getattr(mu, "r", 0.0)], dtype=np.complex128)
+    points = draw_points(rng)
     u, v = ladder_eval(_ladder_coeffs(F, degrees[-1]), points)
     # K_n(s,s) on the circle: sum_j phitilde_j(s) conj(phi_j(s))
     kdiag = np.cumsum(v * np.conj(u), axis=0)
-    lvals = l_functional_table(mu, points, degrees, m)
+    lvals = l_functional_table(mu, points, degrees, val["quadrature_m"])
     rows = []
     violated = False
     for si, s in enumerate(points):
@@ -300,25 +252,26 @@ def run_universality(cfg, outdir, seed: int) -> int:
 
 # -- lacunary ---------------------------------------------------------------
 
-LACUNARY_DEFAULTS = {
-    "coeffs": {"random": {"count": 256, "radius": 0.05}},
-    "degrees": {"base": 1.5, "count": 20, "start": 4},
-    "points": {"count": 64},
+LACUNARY_SCHEMA = {
+    "coeffs": ({"random": {"count": 256, "radius": 0.05}}, _coeff_source),
+    "degrees": ({"base": 1.5, "count": 20, "start": 4}, _schedule),
+    "points": ({"count": 64}, _points),
 }
 
 
 def run_lacunary(cfg, outdir, seed: int) -> int:
     """Pointwise convergence of (star(phi) phitilde)^2 along a lacunary schedule."""
-    cfg = _merge_defaults(cfg, LACUNARY_DEFAULTS)
+    cfg, val = read_config(cfg, LACUNARY_SCHEMA)
     cfg["seed"] = seed
-    rng = np.random.default_rng(seed)
-    degrees = _schedule(cfg)
+    degrees = val["degrees"]
     for prev, cur in zip(degrees, degrees[1:]):
         if cur <= prev:
             raise ConfigError("degree schedule must be strictly increasing")
-    F = _coeff_source(cfg, rng)
-    F, pair, sup_b = _rescaled_below_threshold(F)
-    points = _sample_points(cfg, rng)
+    npoints, draw_points = val["points"]
+    _within_budget((degrees[-1] + 1) * npoints, "(largest degree + 1) x points")
+    rng = np.random.default_rng(seed)
+    F, pair, sup_b = _rescaled_below_threshold(val["coeffs"][1](rng))
+    points = draw_points(rng)
     target = np.conj(1.0 / density_on_circle(pair.a(points), pair.b(points)) ** 2)
     u, v = ladder_eval(_ladder_coeffs(F, degrees[-1]), points, degrees)
     rows, qrows = [], []
@@ -346,12 +299,12 @@ def run_lacunary(cfg, outdir, seed: int) -> int:
 
 # -- Fejer comparison -------------------------------------------------------
 
-FEJER_DEFAULTS = {
-    "shape": {"random": {"count": 32, "radius": 1.0, "real": True}},
-    "point": [1.0, 0.0],
-    "epsilons": [0.1, 0.05, 0.025],
-    "degrees": [8, 16, 32],
-    "ratio_window": [2.0, 8.0],
+FEJER_SCHEMA = {
+    "shape": ({"random": {"count": 32, "radius": 1.0, "real": True}}, _coeff_source),
+    "point": ([1.0, 0.0], pair),
+    "epsilons": ([0.1, 0.05, 0.025], list_of, None, real),
+    "degrees": ([8, 16, 32], list_of, None, integer, 0, MAX_QUAD_NODES),
+    "ratio_window": ([2.0, 8.0], list_of, 2, real),
 }
 
 
@@ -364,28 +317,26 @@ def run_fejer(cfg, outdir, seed: int) -> int:
     expansion can cancel and the mismatch drops a full order; the default
     real shape evaluated at s = 1 keeps the quadratic term in front.
     """
-    cfg = _merge_defaults(cfg, FEJER_DEFAULTS)
+    cfg, val = read_config(cfg, FEJER_SCHEMA)
     cfg["seed"] = seed
-    rng = np.random.default_rng(seed)
-    shape = _coeff_source(cfg, rng, key="shape")
+    s, epsilons, (lo, hi) = val["point"], val["epsilons"], val["ratio_window"]
+    if not on_circle(s):
+        raise ConfigError("evaluation point must lie on the unit circle")
+    # the scaling check applies to halving steps only; a NaN step is kept, and fails
+    steps = zip(epsilons, epsilons[1:])
+    halvings = [(e1, e2) for e1, e2 in steps if not abs(e1 - 2 * e2) > 1e-12 * e1]
+    if not halvings:
+        raise ConfigError("epsilons must hold a halving step: e followed by e/2")
+    degrees = sorted(set(val["degrees"]))
+    n_max = degrees[-1]
+    size, draw_shape = val["shape"]
+    if n_max < size:
+        raise ConfigError(f"the largest degree must be >= the shape length {size}")
+    shape = draw_shape(np.random.default_rng(seed))
     norm1 = float(np.sum(np.abs(shape)))
     if norm1 == 0:
         raise ConfigError("the F-shape must be nonzero")
     shape = shape / norm1
-    s = complex(*(_float(x, "point") for x in _list(cfg["point"], "point", 2)))
-    if not on_circle(s):
-        raise ConfigError("evaluation point must lie on the unit circle")
-    epsilons = [_float(e, "epsilons") for e in _list(cfg["epsilons"], "epsilons")]
-    # the scaling check applies to halving steps only; a NaN step is kept, and fails
-    pairs = zip(epsilons, epsilons[1:])
-    halvings = [(e1, e2) for e1, e2 in pairs if not abs(e1 - 2 * e2) > 1e-12 * e1]
-    if not halvings:
-        raise ConfigError("epsilons must hold a halving step: e followed by e/2")
-    degrees = _bounded(sorted({_int(n, "degrees", 0) for n in _list(cfg["degrees"], "degrees")}))
-    lo, hi = (_float(x, "ratio_window") for x in _list(cfg["ratio_window"], "ratio_window", 2))
-    n_max = degrees[-1]
-    if n_max < len(shape):
-        raise ConfigError(f"the largest degree must be >= the shape length {len(shape)}")
     s_arr = np.array([s])
     spow = s ** np.arange(1, n_max + 1)
     rows = []
@@ -422,14 +373,15 @@ def run_fejer(cfg, outdir, seed: int) -> int:
 
 # -- b-to-measure reconstruction pipeline -----------------------------------
 
-THM5_DEFAULTS = {
-    "grid_m": 8192,
-    "degree_cap": 256,
-    "strip_steps": 32,
-    "bandwidth": 256,
-    "ortho_degree": 6,
-    "ortho_quadrature": 4096,
-    "l1_degrees": [1, 2, 4, 8, 16, 32],
+THM5_SCHEMA = {
+    "b": (REQUIRED, pairs),
+    "grid_m": (8192, power_of_two, MAX_QUAD_NODES),
+    "degree_cap": (256, integer, 0, MAX_QUAD_NODES),
+    "strip_steps": (32, integer, 1, MAX_QUAD_NODES),
+    "bandwidth": (256, integer, 1, MAX_QUAD_NODES),
+    "ortho_degree": (6, integer, 0, MAX_LADDER),
+    "ortho_quadrature": (4096, integer, 1, MAX_QUAD_NODES),
+    "l1_degrees": ([1, 2, 4, 8, 16, 32], list_of, None, integer, 0, MAX_QUAD_NODES),
 }
 
 
@@ -439,26 +391,15 @@ def run_thm5(cfg, outdir, seed: int) -> int:
     Rejects b with grid sup at or above 2^-1/2 (the threshold is sharp:
     past it the limiting object fails to be a measure) with exit code 3.
     """
-    cfg = _merge_defaults(cfg, THM5_DEFAULTS, optional=("b",))
+    cfg, val = read_config(cfg, THM5_SCHEMA)
     cfg["seed"] = seed
-    if "b" not in cfg:
-        raise ConfigError("thm5 config needs 'b': [[re,im],...] (frequencies 1..)")
-    # CircleMeasure.from_samples needs this at the end of the run; refuse it before any work
-    m = _int(cfg["grid_m"], "grid_m", 2)
-    if m & (m - 1):
-        raise ConfigError("grid_m must be a power of two >= 2")
-    bc = _complex_list(cfg["b"], "b")
-    if len(bc) == 0:
+    m, steps, bandwidth = val["grid_m"], val["strip_steps"], val["bandwidth"]
+    if len(val["b"]) == 0:
         raise ConfigError("b must have at least one coefficient")
-    steps = _int(cfg["strip_steps"], "strip_steps")
-    bandwidth = _int(cfg["bandwidth"], "bandwidth")
-    l1_degrees = sorted(
-        set(_int(n, "l1_degrees", 0) for n in _list(cfg["l1_degrees"], "l1_degrees"))
-    )
-    ortho_degree = _int(cfg["ortho_degree"], "ortho_degree", 0)
-    ortho_m = _int(cfg["ortho_quadrature"], "ortho_quadrature")
-    degree_cap = _int(cfg["degree_cap"], "degree_cap", 0)
-    b = LaurentPoly(bc, 1)
+    _within_budget(steps * bandwidth, "strip_steps x bandwidth")
+    l1_degrees = sorted(set(val["l1_degrees"]))
+    _within_budget((l1_degrees[-1] + 1) * m, "(largest l1_degrees + 1) x grid_m")
+    b = LaurentPoly(val["b"], 1)
     nodes = circle_nodes(m)
     bv = b.on_grid(m)
     sup_b = float(np.max(np.abs(bv)))
@@ -474,14 +415,14 @@ def run_thm5(cfg, outdir, seed: int) -> int:
             fh.write("\n")
         return 3
     logmod = 0.5 * np.log1p(-np.abs(bv) ** 2)
-    astar, outer_err, clamped = outer_from_modulus(logmod, degree_cap)
+    astar, outer_err, clamped = outer_from_modulus(logmod, val["degree_cap"])
     a = astar.star()
     F, strip = layer_strip_truncated(a, b, steps, bandwidth)
     wsamp = w_from_ab(a, b, m)
     mu = CircleMeasure.from_samples(wsamp, kind="thm5")
     c0_err = float(abs(np.mean(wsamp) - 1.0))
-    d = min(ortho_degree, len(F))
-    ortho = verify_system(ladder_from_coeffs(F[:d]), mu, ortho_m).orthonormality_max
+    d = min(val["ortho_degree"], len(F))
+    ortho = verify_system(ladder_from_coeffs(F[:d]), mu, val["ortho_quadrature"]).orthonormality_max
     u, v = ladder_eval(_ladder_coeffs(F, l1_degrees[-1]), nodes, l1_degrees)
     winv = 1.0 / np.conj(wsamp)
     l1_rows = []
@@ -514,13 +455,13 @@ def run_thm5(cfg, outdir, seed: int) -> int:
 
 # -- roundtrip --------------------------------------------------------------
 
-ROUNDTRIP_DEFAULTS = {
-    "trials": 5,
-    "n": 48,
-    "radius": 0.8,
-    "extract_n": 24,
-    "strip_tol": 1e-8,
-    "extract_tol": 1e-10,
+ROUNDTRIP_SCHEMA = {
+    "trials": (5, integer, 1, MAX_QUAD_NODES),
+    "n": (48, integer, 1, MAX_SERIES),
+    "radius": (0.8, real),
+    "extract_n": (24, integer, 1, MAX_LADDER),
+    "strip_tol": (1e-8, real),
+    "extract_tol": (1e-10, real),
 }
 
 
@@ -531,19 +472,15 @@ def run_roundtrip(cfg, outdir, seed: int) -> int:
     the certification tolerances are config knobs; the actual errors are
     in the CSV either way.
     """
-    cfg = _merge_defaults(cfg, ROUNDTRIP_DEFAULTS)
+    cfg, val = read_config(cfg, ROUNDTRIP_SCHEMA)
     cfg["seed"] = seed
     rng = np.random.default_rng(seed)
-    trials = _int(cfg["trials"], "trials")
-    n = _int(cfg["n"], "n")
-    ne = min(_int(cfg["extract_n"], "extract_n"), n)
-    radius = _float(cfg["radius"], "radius")
-    strip_tol = _float(cfg["strip_tol"], "strip_tol")
-    extract_tol = _float(cfg["extract_tol"], "extract_tol")
+    n = val["n"]
+    ne = min(val["extract_n"], n)
     rows = []
     violated = False
-    for t in range(trials):
-        F = _random_disk(rng, n, radius)
+    for t in range(val["trials"]):
+        F = _random_disk(rng, n, val["radius"])
         pair = forward(F)
         strip_err = float(np.max(np.abs(layer_strip(pair) - F)))
         sys = ladder_from_coeffs(F[:ne])
@@ -552,7 +489,7 @@ def run_roundtrip(cfg, outdir, seed: int) -> int:
         F2, _, tag, _ = extract_coeffs(Phi, PhiT)
         extract_err = float(np.max(np.abs(F2 - F[:ne])))
         # a NaN error or tolerance fails the certification
-        if not strip_err <= strip_tol or not extract_err <= extract_tol or tag != "Tminus":
+        if not strip_err <= val["strip_tol"] or not extract_err <= val["extract_tol"] or tag != "Tminus":
             violated = True
         rows.append([t, n, strip_err, extract_err])
     write_csv(
@@ -566,7 +503,13 @@ def run_roundtrip(cfg, outdir, seed: int) -> int:
 
 # -- Plancherel -------------------------------------------------------------
 
-PLANCHEREL_DEFAULTS = {"systems": 10, "n": 16, "radius": 1.0, "tol": 1e-8}
+# n: the pairs' R rows and companion stacks take about 13 n^3 B, 208 MiB at 256
+PLANCHEREL_SCHEMA = {
+    "systems": (10, integer, 1, MAX_QUAD_NODES),
+    "n": (16, integer, 1, 256),
+    "radius": (1.0, real),
+    "tol": (1e-8, real),
+}
 
 
 def run_plancherel(cfg, outdir, seed: int) -> int:
@@ -575,20 +518,16 @@ def run_plancherel(cfg, outdir, seed: int) -> int:
     ``zeros`` counts the zeros of a_{(l,m]}^* in the disk; the margin is
     0 up to rounding exactly when there are none (a_{(l,m]}^* outer).
     """
-    cfg = _merge_defaults(cfg, PLANCHEREL_DEFAULTS)
+    cfg, val = read_config(cfg, PLANCHEREL_SCHEMA)
     cfg["seed"] = seed
     rng = np.random.default_rng(seed)
-    count = _int(cfg["systems"], "systems")
-    n = _int(cfg["n"], "n")
-    tol = _float(cfg["tol"], "tol")
-    radius = _float(cfg["radius"], "radius")
     rows = []
     violated = False
-    for t in range(count):
-        F = _random_disk(rng, n, radius)
+    for t in range(val["systems"]):
+        F = _random_disk(rng, val["n"], val["radius"])
         for l, m_, lhs, rhs, zeros in plancherel_table(ladder_from_coeffs(F)):
             # a NaN side or tolerance fails the certification
-            if not lhs <= rhs + tol:
+            if not lhs <= rhs + val["tol"]:
                 violated = True
             rows.append([t, l, m_, lhs, rhs, rhs - lhs, zeros])
     write_csv(
@@ -602,22 +541,23 @@ def run_plancherel(cfg, outdir, seed: int) -> int:
 
 # -- counterexample family --------------------------------------------------
 
-COUNTEREXAMPLE_DEFAULTS = {
-    "r_values": [0.25, 0.5, 0.9],
-    "growth_r": [0.9, 0.99, 0.999],
-    "n_max": 64,
-    "grid": 256,
+COUNTEREXAMPLE_SCHEMA = {
+    "r_values": ([0.25, 0.5, 0.9], list_of, None, real),
+    "growth_r": ([0.9, 0.99, 0.999], list_of, None, real),
+    "n_max": (64, integer, 1, MAX_QUAD_NODES),
+    "grid": (256, integer, 1, MAX_QUAD_NODES),
 }
 
 
 def run_counterexample(cfg, outdir, seed: int) -> int:
     """The one-coefficient family: closed forms and the r -> 1 blow-up."""
-    cfg = _merge_defaults(cfg, COUNTEREXAMPLE_DEFAULTS)
+    cfg, val = read_config(cfg, COUNTEREXAMPLE_SCHEMA)
     cfg["seed"] = seed
-    n_max = _int(cfg["n_max"], "n_max")
-    nodes = circle_nodes(_int(cfg["grid"], "grid"))
-    r_values = [_float(r, "r_values") for r in _list(cfg["r_values"], "r_values")]
-    growth = [_float(r, "growth_r") for r in _list(cfg["growth_r"], "growth_r")]
+    n_max, r_values, growth = val["n_max"], val["r_values"], val["growth_r"]
+    if not all(0 <= r < 1 for r in r_values + growth):  # a NaN r fails
+        raise ConfigError("r_values and growth_r must lie in [0, 1)")
+    _within_budget((n_max + 1) * val["grid"], "(n_max + 1) x grid")
+    nodes = circle_nodes(val["grid"])
     rows = []
     violated = False
     for r in r_values:
@@ -667,32 +607,35 @@ def run_counterexample(cfg, outdir, seed: int) -> int:
 
 # -- plotting ---------------------------------------------------------------
 
-PLOT_DEFAULTS = {"xlog": False, "ylog": True, "out_name": "plot.svg"}
+PLOT_SCHEMA = {
+    "csv": (REQUIRED, of_type, str),
+    "x": (REQUIRED, of_type, str),
+    "y": (REQUIRED, list_of, None, of_type, str),
+    "xlog": (False, of_type, bool),
+    "ylog": (True, of_type, bool),
+    "out_name": ("plot.svg", of_type, str),
+}
 
 
 def run_plot(cfg, outdir, seed: int) -> int:
     """Line chart of named CSV columns as a standalone SVG."""
-    cfg = _merge_defaults(cfg, PLOT_DEFAULTS, optional=("csv", "x", "y"))
-    if "csv" not in cfg or "x" not in cfg or "y" not in cfg:
-        raise ConfigError("plot config needs 'csv', 'x', and 'y' fields")
-    columns, rows = read_csv(cfg["csv"])
-    wanted = [cfg["x"]] + _list(cfg["y"], "y")
-    missing = [c for c in wanted if c not in columns]
+    _, val = read_config(cfg, PLOT_SCHEMA)
+    x, y = val["x"], val["y"]
+    columns, rows = read_csv(val["csv"])
+    missing = [c for c in [x] + y if c not in columns]
     if missing:
-        raise ConfigError(
-            f"columns {missing} not in CSV; available: {columns}"
-        )
-    idx = {c: columns.index(c) for c in wanted}
-    xs = [row[idx[cfg["x"]]] for row in rows]
-    series = {c: [row[idx[c]] for row in rows] for c in cfg["y"]}
+        raise ConfigError(f"columns {missing} not in CSV; available: {columns}")
+    idx = {c: columns.index(c) for c in [x] + y}
+    xs = [row[idx[x]] for row in rows]
+    series = {c: [row[idx[c]] for row in rows] for c in y}
     line_chart(
         xs,
         series,
-        os.path.join(outdir, cfg["out_name"]),
-        xlog=bool(cfg["xlog"]),
-        ylog=bool(cfg["ylog"]),
-        xlabel=cfg["x"],
-        ylabel=", ".join(cfg["y"]),
+        os.path.join(outdir, val["out_name"]),
+        xlog=val["xlog"],
+        ylog=val["ylog"],
+        xlabel=x,
+        ylabel=", ".join(y),
     )
     return 0
 

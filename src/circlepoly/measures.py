@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, ToleranceError
 from .laurent import LaurentPoly
+from .schema import OPTIONAL, REQUIRED, of_type, pair, pairs, read_config, real
 
 MAX_QUAD_NODES = 2 ** 20
 ADAPTIVE_TOL = 1e-10
@@ -140,10 +141,8 @@ class CircleMeasure:
         samples = self.samples
         if samples is not None:
             n = len(samples)
-            if m >= n and m % n == 0:
-                return _resample(samples, m)
-            if m < n and n % m == 0:
-                # coarser uniform grids share nodes with the sample grid
+            if n % m == 0:
+                # the sample grid and its coarser uniform grids share nodes
                 return samples[:: n // m].copy()
             fhat = np.fft.fftshift(np.fft.fft(samples, norm="forward"))
             return LaurentPoly(fhat, -(n // 2)).on_grid(m)
@@ -219,17 +218,6 @@ def _refine(value, m: int):
                 f"adaptive quadrature not converged at {g} nodes", last=cur, previous=prev
             )
         prev = cur
-
-
-def _resample(samples: np.ndarray, m: int) -> np.ndarray:
-    """Evaluate the trig interpolant of the samples on a finer uniform grid."""
-    n = len(samples)
-    fhat = np.fft.fft(samples)
-    padded = np.zeros(m, dtype=np.complex128)
-    h = n // 2
-    padded[:h] = fhat[:h]
-    padded[-h:] = fhat[-h:]
-    return np.fft.ifft(padded) * (m / n)
 
 
 def pairing(f: LaurentPoly, g: LaurentPoly, mu: CircleMeasure, m: int = 256) -> complex:
@@ -330,61 +318,39 @@ def l_functional_table(mu: CircleMeasure, points, degrees, m: int = 65536) -> np
 
 # -- JSON measure descriptions --------------------------------------------
 
+ATOM_SCHEMA = {"point": (REQUIRED, pair), "weight": (REQUIRED, pair)}
 
-def measure_from_json(spec: dict) -> CircleMeasure:
-    """Build a measure from its JSON description.
 
-    Kinds: {"kind":"uniform"} | {"kind":"mu_r","r":0.5} |
-    {"kind":"samples","values":[[re,im],...]} |
-    {"kind":"atoms","list":[{"point":[re,im],"weight":[re,im]},...]}.
-    Any density kind accepts an optional "atoms" list and an optional
-    "scale" factor, so convex combinations can be composed.
-    """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("measure spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    if kind == "uniform":
-        mu = CircleMeasure.uniform()
-    elif kind == "mu_r":
-        if "r" not in spec:
-            raise ConfigError("mu_r measure needs an 'r' field")
-        try:
-            r = float(spec["r"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError("mu_r 'r' must be a number") from e
-        mu = CircleMeasure.mu_r(r)
-    elif kind == "samples":
-        try:
-            values = [complex(v[0], v[1]) for v in spec["values"]]
-        except (KeyError, TypeError, IndexError) as e:
-            raise ConfigError("samples measure needs 'values': [[re,im],...]") from e
-        mu = CircleMeasure.from_samples(values)
-    elif kind == "atoms":
-        mu = CircleMeasure.from_atoms(_parse_atoms(spec.get("list", [])))
-    else:
-        raise ConfigError(f"unknown measure kind {kind!r}")
-    if "scale" in spec:
-        try:
-            scale = complex(spec["scale"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError("measure 'scale' must be a number") from e
-        mu = mu.scaled(scale)
-    if spec.get("atoms") and kind != "atoms":
-        mu = mu.with_atoms(_parse_atoms(spec["atoms"]))
+def _atoms(value, what: str) -> list:
+    """A list, possibly empty, of {"point": [re, im], "weight": [re, im]}."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list of point/weight entries")
+    return [tuple(read_config(it, ATOM_SCHEMA, f"{what}[{i}]")[1].values()) for i, it in enumerate(value)]
+
+
+_SPEC = {"kind": (REQUIRED, of_type, str), "scale": (OPTIONAL, real)}
+_DENSITY = {**_SPEC, "atoms": (OPTIONAL, _atoms)}
+MEASURE_KINDS = {
+    "uniform": (_DENSITY, lambda v: CircleMeasure.uniform()),
+    "mu_r": ({**_DENSITY, "r": (REQUIRED, real)}, lambda v: CircleMeasure.mu_r(v["r"])),
+    "samples": ({**_DENSITY, "values": (REQUIRED, pairs)}, lambda v: CircleMeasure.from_samples(v["values"])),
+    "atoms": ({**_SPEC, "list": ([], _atoms)}, lambda v: CircleMeasure.from_atoms(v["list"])),
+}
+
+
+def measure_from_json(spec, what: str = "measure") -> CircleMeasure:
+    """Build a measure from its JSON description, {"kind": ...} and the keys
+    MEASURE_KINDS lists for that kind with its constructor.  Every kind
+    takes a real "scale" and a density kind an "atoms" list, so convex
+    combinations can be composed."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in MEASURE_KINDS:
+        raise ConfigError(f"{what} needs a 'kind' of {', '.join(MEASURE_KINDS)}, got {kind!r}")
+    schema, build = MEASURE_KINDS[kind]
+    _, v = read_config(spec, schema, what)
+    mu = build(v)
+    if v["scale"] is not None:
+        mu = mu.scaled(complex(v["scale"]))
+    if v.get("atoms"):
+        mu = mu.with_atoms(v["atoms"])
     return mu
-
-
-def _parse_atoms(items):
-    if not isinstance(items, list):
-        raise ConfigError("measure atoms must be a list of point/weight entries")
-    out = []
-    for it in items:
-        try:
-            p = complex(it["point"][0], it["point"][1])
-            w = complex(it["weight"][0], it["weight"][1])
-        except (KeyError, TypeError, IndexError) as e:
-            raise ConfigError(
-                "atom entries need 'point': [re,im] and 'weight': [re,im]"
-            ) from e
-        out.append((p, w))
-    return out

@@ -48,7 +48,8 @@ def squares_and_inv_rho(F, sign=1.0):
     try:
         sq = [x ** 2 for x in h.tolist()]
     except OverflowError:  # a float |F_j| beyond sqrt(max); numpy's goes to inf
-        sq = [x ** 2 for x in h]
+        with np.errstate(over="ignore"):
+            sq = [x ** 2 for x in h]
     sq = np.reshape(np.array(sq, dtype=np.float64), F.shape)
     return sq, 1.0 / np.sqrt(1.0 + sign * sq)
 

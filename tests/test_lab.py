@@ -2,14 +2,15 @@ import hashlib
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from circlepoly import __version__, cli
+from circlepoly import __version__, cli, experiments, measures
 from circlepoly.cli import main
 from circlepoly.errors import ConfigError
-from circlepoly.experiments import _schedule, config_hash, read_csv, write_csv
+from circlepoly.experiments import MAX_LADDER, _schedule, config_hash, read_csv, write_csv
 from circlepoly.measures import MAX_QUAD_NODES
 
 NAN = float("nan")
@@ -229,6 +230,15 @@ def test_a_coefficient_whose_square_overflows_is_a_config_error(tmp_path, capsys
         code, _ = _run(tmp_path, command, cfg)
     assert code == 2
     assert "overflows" in capsys.readouterr().err
+
+
+def test_an_overflowing_square_prints_no_warning(tmp_path, capsys):
+    # numpy's scalar power used to warn on stderr before the config error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = _run(tmp_path, "lacunary", {"coeffs": {"explicit": [[1e300, 0.0]]}})
+    assert code == 2
+    assert "Warning" not in capsys.readouterr().err
 
 
 def test_thm5_single_coefficient_family(tmp_path):
@@ -550,10 +560,10 @@ def test_output_bytes_pinned(tmp_path, command, cfg, fname, digest):
 @pytest.mark.parametrize(
     "command,cfg",
     [
-        ("universality", {"C": "nan", "degrees": [8], "points": {"count": 2}, "quadrature_m": 1024}),
-        ("plancherel", {"tol": "nan", "systems": 1, "n": 3}),
-        ("roundtrip", {"strip_tol": "nan", "trials": 1, "n": 4, "extract_n": 2}),
-        ("roundtrip", {"extract_tol": "nan", "trials": 1, "n": 4, "extract_n": 2}),
+        ("universality", {"C": NAN, "degrees": [8], "points": {"count": 2}, "quadrature_m": 1024}),
+        ("plancherel", {"tol": NAN, "systems": 1, "n": 3}),
+        ("roundtrip", {"strip_tol": NAN, "trials": 1, "n": 4, "extract_n": 2}),
+        ("roundtrip", {"extract_tol": NAN, "trials": 1, "n": 4, "extract_n": 2}),
         ("thm5", {"b": [[NAN, 0.0]]}),
     ],
 )
@@ -631,11 +641,73 @@ def test_empty_grid_configs_rejected(tmp_path, command, cfg):
         # an empty explicit point list is refused, not run on no points
         ("lacunary", {"points": {"explicit": []}}, "lacunary.csv"),
         ("universality", {"points": {"explicit": []}}, "universality.csv"),
+        # a nested spec is read by the same rules as the top level: [re, im]
+        # entries, unknown keys, and one source, not two
+        ("universality", {"coeffs": {"explicit": [{"a": 1}]}}, "universality.csv"),
+        ("universality", {"points": {"explicit": [{"x": 1}]}}, "universality.csv"),
+        ("thm5", {"b": [{"re": 1}]}, "thm5_report.json"),
+        ("thm5", {"b": [[0.3, 0.0, 1.0]]}, "thm5_report.json"),
+        ("plot", {"csv": "CSV", "x": "n", "y": ["gap"], "out_name": 5}, "plot.svg"),
+        ("lacunary", {"degrees": {"base": 1.5, "count": 3, "start": 4, "extra": 1}}, "lacunary.csv"),
+        ("lacunary", {"coeffs": {"random": {"count": 4, "radius": 0.1, "bogus": 1}}}, "lacunary.csv"),
+        ("universality", {"points": {"count": 4, "explicit": [[1, 0]]}}, "universality.csv"),
+        (
+            "lacunary",
+            {"coeffs": {"explicit": [[0.1, 0.0]], "random": {"count": 4}}, "degrees": [2, 4], "points": {"count": 2}},
+            "lacunary.csv",
+        ),
+        (
+            "universality",
+            {"measure": {"kind": "uniform", "r": 0.5}, "degrees": [8], "points": {"count": 2}, "quadrature_m": 1024},
+            "universality.csv",
+        ),
+        (
+            "universality",
+            {
+                "measure": {"kind": "atoms", "list": [{"point": [1, 0], "weight": [1, 0]}], "atoms": []},
+                "coeffs": {"explicit": [[0.0, 0.0]]},
+                "degrees": [8],
+                "points": {"count": 2},
+                "quadrature_m": 1024,
+            },
+            "universality.csv",
+        ),
+        # a number is not a string or a boolean, and a boolean only true or false
+        ("roundtrip", {"trials": 1, "n": 4, "extract_n": 2, "radius": "0.5"}, "roundtrip.csv"),
+        ("roundtrip", {"trials": 1, "n": 4, "extract_n": 2, "strip_tol": True}, "roundtrip.csv"),
+        ("universality", {"measure": {"kind": "mu_r", "r": "0.5"}, "degrees": [8], "points": {"count": 2}}, "universality.csv"),
+        (
+            "lacunary",
+            {"coeffs": {"random": {"count": 4, "radius": 0.1, "real": "no"}}, "degrees": [2, 4], "points": {"count": 2}},
+            "lacunary.csv",
+        ),
+        ("plot", {"csv": "CSV", "x": "n", "y": ["gap"], "xlog": "yes"}, "plot.svg"),
+        # every integer has an upper bound, checked before anything is allocated
+        ("universality", {"quadrature_m": 1e9}, "universality.csv"),
+        ("universality", {"points": {"count": 1e9}}, "universality.csv"),
+        ("counterexample", {"grid": 1e9}, "counterexample.csv"),
+        ("counterexample", {"n_max": 1e9}, "counterexample.csv"),
+        ("plancherel", {"n": 1e9}, "plancherel.csv"),
+        ("plancherel", {"systems": 1e9}, "plancherel.csv"),
+        ("roundtrip", {"trials": 1e9}, "roundtrip.csv"),
+        ("roundtrip", {"extract_n": MAX_LADDER + 1, "n": MAX_LADDER + 1}, "roundtrip.csv"),
+        ("thm5", {"b": [[0.3, 0.0]], "grid_m": 2 ** 30}, "thm5_report.json"),
+        ("thm5", {"b": [[0.3, 0.0]], "strip_steps": 1e9}, "thm5_report.json"),
+        ("thm5", {"b": [[0.3, 0.0]], "bandwidth": 1e9}, "thm5_report.json"),
+        # and two keys that size one array together are held to the budget
+        ("counterexample", {"n_max": 2 ** 12, "grid": 2 ** 12}, "counterexample.csv"),
+        ("universality", {"degrees": [2 ** 20], "points": {"count": 16}}, "universality.csv"),
+        ("lacunary", {"degrees": [2 ** 20], "points": {"count": 16}}, "lacunary.csv"),
+        ("thm5", {"b": [[0.3, 0.0]], "strip_steps": 2 ** 12 + 1, "bandwidth": 2 ** 12}, "thm5_report.json"),
+        ("thm5", {"b": [[0.3, 0.0]], "l1_degrees": [2 ** 12], "grid_m": 2 ** 12}, "thm5_report.json"),
     ],
 )
-def test_nonpositive_sizes_rejected(tmp_path, command, cfg, artifact):
+def test_nonpositive_sizes_rejected(tmp_path, capsys, command, cfg, artifact):
+    if cfg.get("csv") == "CSV":  # a plot reads a CSV that has its columns
+        cfg = dict(cfg, csv=_plot_csv(tmp_path, [[1, 0.5, 0.25], [2, 0.25, 0.125]]))
     code, out = _run(tmp_path, command, cfg)
     assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
     assert not os.path.exists(os.path.join(out, artifact))
 
 
@@ -650,12 +722,12 @@ def test_nonpositive_sizes_rejected(tmp_path, command, cfg, artifact):
 )
 def test_schedule_bounds_its_largest_degree(spec):
     with pytest.raises(ConfigError):
-        _schedule({"degrees": spec})
+        _schedule(spec, "degrees")
 
 
 def test_schedule_keeps_degrees_at_the_bound():
-    assert _schedule({"degrees": [8, MAX_QUAD_NODES]}) == [8, MAX_QUAD_NODES]
-    assert _schedule({"degrees": {"base": 2, "count": 19, "start": 4}})[-1] == MAX_QUAD_NODES
+    assert _schedule([8, MAX_QUAD_NODES], "degrees") == [8, MAX_QUAD_NODES]
+    assert _schedule({"base": 2, "count": 19, "start": 4}, "degrees")[-1] == MAX_QUAD_NODES
 
 
 def test_main_reuses_its_parser(tmp_path):
@@ -715,6 +787,9 @@ def test_bad_config_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["universality", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    # an integer literal past Python's int digit limit is a ValueError, not a JSONDecodeError
+    bad.write_text('{"n": ' + "1" * 5000 + "}")
+    assert main(["roundtrip", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert (
         main(["universality", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         == 2
@@ -749,3 +824,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys, command, cfg):
     assert code == 2
     assert "unknown config keys" in capsys.readouterr().err
     assert not os.path.exists(out) or not os.listdir(out)
+
+
+def test_readme_tables_name_every_config_key():
+    # each schema table, nested specs included, is documented in README's
+    # Command line section
+    tables = [table for name, table in vars(experiments).items() if name.endswith("_SCHEMA")]
+    tables += [measures.ATOM_SCHEMA] + [table for table, _ in measures.MEASURE_KINDS.values()]
+    assert len(tables) == 8 + 4 + 1 + 4
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text[text.index("## Command line") : text.index("## Acceptance suite")]
+    missing = sorted({key for table in tables for key in table if f"`{key}`" not in section})
+    assert not missing, f"README's Command line section does not name {missing}"

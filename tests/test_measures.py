@@ -115,6 +115,26 @@ def _adaptive_moments(mu, d, m=256):
     return np.array([mu.integrate_adaptive(lambda z, k=k: z ** k, m) for k in range(-d, d + 1)])
 
 
+def _zero_padded(samples, m):
+    """The finer-grid read of a sampled density before it went through
+    on_grid: the spectrum zero-padded to m and one inverse FFT."""
+    n = len(samples)
+    fhat = np.fft.fft(samples)
+    padded = np.zeros(m, dtype=np.complex128)
+    padded[: n // 2] = fhat[: n // 2]
+    padded[-(n // 2) :] = fhat[-(n // 2) :]
+    return np.fft.ifft(padded) * (m / n)
+
+
+@pytest.mark.parametrize("n", [8, 64, 8192])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_density_on_a_multiple_grid_is_the_zero_padded_spectrum(n, k):
+    rng = np.random.default_rng(n + k)
+    samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+    got = CircleMeasure.from_samples(samples).density_on_grid(k * n)
+    assert np.max(np.abs(got - _zero_padded(samples, k * n))) <= 1e-15
+
+
 def _smooth_samples(m):
     zs = circle_nodes(m)
     return 1.0 + 0.4 * zs ** 3 + 0.2 * np.conj(zs) + 0.1j * zs ** 5

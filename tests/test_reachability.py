@@ -60,9 +60,8 @@ LIBRARY_API = {
     "measures.CircleMeasure.scaled": MEASURE_SPECS,
     "measures.CircleMeasure.uniform": MEASURE_SPECS,
     "measures.CircleMeasure.with_atoms": MEASURE_SPECS,
-    "measures._parse_atoms": MEASURE_SPECS,
+    "measures._atoms": MEASURE_SPECS,
     "measures._refine": "moments of a closed-form density of a measure spec, and integrate_adaptive",
-    "measures._resample": "a sampled density read on a finer grid than its samples",
     "measures.l_functional": BENCHMARK,
     "measures.pairing": BENCHMARK,
     "nlfs._block_pair": FACTOR_TREES,
