@@ -91,23 +91,28 @@ class CircleMeasure:
 
         Off-grid evaluation goes through the trigonometric interpolant of
         the samples on frequencies -M/2 .. M/2-1 (the Nyquist term at
-        -M/2), read off one FFT, so smooth densities stay smooth.  It is
-        two Horner passes, each from the highest frequency down: one in z
-        over frequencies 0 .. M/2-1 and one in 1/z over -1 .. -M/2.  A
-        single pass in z over all M terms, times z^(-M/2), would step the
-        large low frequencies through about M/2 products and lose about two
+        -M/2), read off one FFT on the density's first call, so smooth
+        densities stay smooth; the grid readers (``density_on_grid``,
+        ``moments``) read the samples and never build it.  It is two Horner
+        passes, each from the highest frequency down: one in z over
+        frequencies 0 .. M/2-1 and one in 1/z over -1 .. -M/2.  A single
+        pass in z over all M terms, times z^(-M/2), would step the large
+        low frequencies through about M/2 products and lose about two
         digits.
         """
         values = np.asarray(values, dtype=np.complex128)
         m = len(values)
         if m < 2 or (m & (m - 1)) != 0:
             raise DomainError("sample count must be a power of two >= 2")
-        fhat = np.fft.fft(values, norm="forward")
-        h = m // 2
-        pos = LaurentPoly(fhat[:h], 0)
-        neg = LaurentPoly(fhat[: h - 1 : -1], 1)  # c_{-1} .. c_{-M/2}, powers of 1/z
+        halves = []  # the interpolant's two halves, built on first use
 
         def density(z):
+            if not halves:
+                fhat = np.fft.fft(values, norm="forward")
+                h = m // 2
+                # c_0 .. c_{M/2-1} in z, and c_{-1} .. c_{-M/2} in 1/z
+                halves.extend((LaurentPoly(fhat[:h], 0), LaurentPoly(fhat[: h - 1 : -1], 1)))
+            pos, neg = halves
             return pos(z) + neg(1.0 / np.asarray(z, dtype=np.complex128))
 
         return CircleMeasure(density, kind=kind, samples=values)

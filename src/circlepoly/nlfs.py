@@ -110,15 +110,17 @@ def _leaves(F):
     b = np.zeros(F.shape, dtype=np.complex128)
     a[m] = 1.0
     work = np.empty(F.shape, dtype=np.complex128)
-    # out is passed by position, which numpy parses faster than a keyword
-    for j, (f, fc, inv) in enumerate(zip(F, np.conj(F), invs), start=1):
-        aj, bj, t = a[m + 1 - j :], b[:j], work[:j]
-        np.multiply(aj, f, t)
-        np.add(t, bj, t)  # F_j z^j a + b, before a changes
-        np.multiply(bj, fc, bj)
-        np.subtract(aj, bj, aj)
-        np.multiply(aj, inv, aj)
-        np.multiply(t, inv, bj)
+    # out is passed by position, which numpy parses faster than a keyword;
+    # an infinite F_j makes NaNs (inf * 0), which are meant to propagate
+    with np.errstate(invalid="ignore"):
+        for j, (f, fc, inv) in enumerate(zip(F, np.conj(F), invs), start=1):
+            aj, bj, t = a[m + 1 - j :], b[:j], work[:j]
+            np.multiply(aj, f, t)
+            np.add(t, bj, t)  # F_j z^j a + b, before a changes
+            np.multiply(bj, fc, bj)
+            np.subtract(aj, bj, aj)
+            np.multiply(aj, inv, aj)
+            np.multiply(t, inv, bj)
     return a, b
 
 

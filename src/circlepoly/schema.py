@@ -63,6 +63,16 @@ def real(value, what: str) -> float:
         raise ConfigError(f"{what} is too large for a double") from e
 
 
+def tolerance(value, what: str) -> float:
+    """A nonnegative finite number as a float, or NaN, which passes so that
+    a certification fails on it; Infinity would certify anything that is
+    not NaN, so it is refused, as is a negative value."""
+    tol = real(value, what)
+    if tol < 0 or tol == np.inf:
+        raise ConfigError(f"{what} must be a finite number >= 0")
+    return tol
+
+
 def of_type(value, what: str, kind: type):
     if not isinstance(value, kind):
         raise ConfigError(f"{what} must be a JSON {'string' if kind is str else 'true or false'}")

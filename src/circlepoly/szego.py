@@ -335,21 +335,17 @@ def plancherel_table(sys: OrthoSystem) -> list:
     return [(l, m, *sides) for (l, m), sides in zip(pairs, _plancherel_sides(sys, pairs))]
 
 
-def _plancherel_poly(p_l, q_l, p_m, q_m):
-    """R = P / z^{l+1} from the coefficient rows of phi_l, phitilde_l,
-    phi_m and phitilde_m (degrees 0..l and 0..m), or None when P's mass
-    outside degrees l+1..m exceeds SPILL_TOL * max|R| or R is not finite.
+def _plancherel_poly(phi, phitilde, l: int, m: int) -> np.ndarray:
+    """P = phi_l^* phi_m + phitilde_l^* phitilde_m (the degree-l star) on
+    degrees 0..l+m, by two correlations of the packed rows; P = z^{l+1} R,
+    R = 2 z^{m-l-1} a_{(l,m]}, with a_{(l,m]} the a of forward(F[l:m])."""
+    sl, sm = _row_slice(l), _row_slice(m)
+    return np.correlate(phi[sm], phi[sl], "full") + np.correlate(phitilde[sm], phitilde[sl], "full")
 
-    P = phi_l^* phi_m + phitilde_l^* phitilde_m with the degree-l star, and
-    R = 2 z^{m-l-1} a_{(l,m]} with a_{(l,m]} the a of forward(F[l:m]).
-    """
-    l, m = len(p_l) - 1, len(p_m) - 1
-    P = np.convolve(np.conj(p_l[::-1]), p_m) + np.convolve(np.conj(q_l[::-1]), q_m)
-    mag = np.abs(P)
-    spill = mag[: l + 1].sum() + mag[m + 1 :].sum()
-    # a NaN or infinite R fails through its max
-    ok = spill <= SPILL_TOL * mag[l + 1 : m + 1].max() < np.inf and P[m] != 0
-    return P[l + 1 : m + 1] if ok else None
+
+def _rouche(mag, d: int):
+    """|R_d| > 2 sum_{k<d} |R_k| on the last axis of ``mag``; a NaN fails it."""
+    return mag[..., d] > 2.0 * np.add.reduce(mag[..., :d], -1)
 
 
 def _jensen_sums(stack):
@@ -357,8 +353,8 @@ def _jensen_sums(stack):
     the roots r_k of each row R of ``stack`` (coefficients of degree d,
     lowest first, top coefficient nonzero), as two arrays.
 
-    A row with |R_d| > 2 sum_{k<d} |R_k| (a factor-2 margin) is certified
-    by Rouché's theorem: for |z| >= 1, |R(z)| >= |z|^{d-1} (|R_d| |z| -
+    A row that ``_rouche`` certifies (a factor-2 margin) has no root in
+    |z| >= 1 by Rouché's theorem: there |R(z)| >= |z|^{d-1} (|R_d| |z| -
     sum |R_k|) > 0, and a root with |z| < 1 has |R_d| |z|^d <= sum |R_k|
     < |R_d| / 2.  Every root then lies in |z| <= 2^{-1/d} < 1, so the
     row's sum and count are exactly 0, the values its eigensolve gives.
@@ -368,9 +364,7 @@ def _jensen_sums(stack):
     d = stack.shape[1] - 1
     jensen = np.zeros(len(stack))
     zeros = np.zeros(len(stack), dtype=np.intp)
-    mag = np.abs(stack)
-    # written so that a NaN row is not certified
-    rest = ~(mag[:, d] > 2.0 * mag[:, :d].sum(axis=1))
+    rest = ~_rouche(np.abs(stack), d)
     if rest.any():
         sub = stack if rest.all() else stack[rest]
         companion = np.zeros((len(sub), d, d), dtype=np.complex128)
@@ -386,34 +380,38 @@ def _plancherel_sides(sys: OrthoSystem, pairs) -> list:
     """(lhs, rhs, zeros) for each index pair (l, m), l < m, of a Tminus system.
 
     On the circle |P| = |R| (see ``_plancherel_poly``), so Jensen's formula
-    gives mean log|P/2| = log(|R_top|/2) + sum_k log max(1, |r_k|) over the
-    m-l-1 roots r_k of R, read by ``_jensen_sums`` from R stacked by
-    degree.  A pair whose top coefficient exceeds twice the sum of the
-    others' moduli is certified root-free outside the disk by Rouché's
-    theorem, with every root in |z| <= 2^{-1/d}, and skips the eigensolve.
-    Of the pairs of degree d >= 1 of n=16 draws (20 seeds) that holds for
-    100% at radius 0.04 and 0.05, 90.5% at 0.2, 33% at 0.5, 8.5% at 1.0.
-    ``zeros`` counts the |r_k| > 1: the reflected zeros of a_{(l,m]}^* in
-    the disk, each adding 2 log|r_k| to rhs - lhs, which is 0 exactly when
-    a_{(l,m]}^* is outer.  A pair whose R fails the spill check gets lhs
-    NaN and zeros -1.
+    gives mean log|P/2| = log(|R_d|/2) + sum_k log max(1, |r_k|) over the
+    d = m-l-1 roots r_k of R.  One pass forms each pair's P and reads the
+    spill check, the ``_rouche`` certificate and a certified lhs (Jensen sum
+    0) from its moduli; only the other pairs' R are kept, and eigensolved by
+    ``_jensen_sums`` stacked by degree.  ``zeros`` counts the |r_k| > 1, the
+    reflected zeros of a_{(l,m]}^* in the disk, each adding 2 log|r_k| to
+    rhs - lhs, which is 0 exactly when a_{(l,m]}^* is outer.  A pair whose P
+    has mass above SPILL_TOL * max|R| outside degrees l+1..m, or whose R is
+    not finite or has a zero top, gets lhs NaN and zeros -1.
     """
     if sys.class_tag != T_MINUS:
         raise DomainError("the Plancherel rhs sum log(1+|F|^2) is the Tminus one")
     phi, phitilde = sys.ladder()
-    by_degree = {}
+    logs = np.log1p(np.abs(sys.F) ** 2)
+    add, peak = np.add.reduce, np.maximum.reduce  # x.sum() and x.max(), called directly
+    out, by_degree = [], {}
     for k, (l, m) in enumerate(pairs):
-        sl, sm = _row_slice(l), _row_slice(m)
-        R = _plancherel_poly(phi[sl], phitilde[sl], phi[sm], phitilde[sm])
-        by_degree.setdefault(m - l - 1, []).append((k, R))
-    out = [None] * len(pairs)
+        P = _plancherel_poly(phi, phitilde, l, m)
+        mag = np.abs(P)
+        rhs = float(add(logs[l:m]))
+        # a NaN or infinite R fails through its max
+        if not (add(mag[: l + 1]) + add(mag[m + 1 :]) <= SPILL_TOL * peak(mag[l + 1 : m + 1]) < np.inf and P[m] != 0):
+            out.append((float("nan"), rhs, -1))
+        elif _rouche(mag[l + 1 : m + 1], m - l - 1):
+            out.append((float(-2.0 * np.log(mag[m] / 2.0)), rhs, 0))
+        else:
+            out.append(None)  # filled in from the eigensolve below
+            by_degree.setdefault(m - l - 1, []).append((k, rhs, P[l + 1 : m + 1].copy()))
     for d, group in by_degree.items():
-        # a failed pair gets R = 1 + ... + z^d, so the eigenproblem stays finite
-        stack = np.array([np.ones(d + 1) if R is None else R for _, R in group])
+        stack = np.array([R for _, _, R in group])
         jensen, zeros = _jensen_sums(stack)
         lhs = -2.0 * (np.log(np.abs(stack[:, d]) / 2.0) + jensen)
-        for i, (k, R) in enumerate(group):
-            l, m = pairs[k]
-            rhs = float(np.log1p(np.abs(sys.F[l:m]) ** 2).sum())
-            out[k] = (float("nan"), rhs, -1) if R is None else (float(lhs[i]), rhs, int(zeros[i]))
+        for (k, rhs, _), x, z in zip(group, lhs, zeros):
+            out[k] = (float(x), rhs, int(z))
     return out

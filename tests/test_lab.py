@@ -241,6 +241,22 @@ def test_an_overflowing_square_prints_no_warning(tmp_path, capsys):
     assert "Warning" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,cfg,expected",
+    [
+        ("roundtrip", {"radius": INF}, 4),
+        ("lacunary", {"coeffs": {"explicit": [[INF, 0.0]]}}, 3),
+    ],
+)
+def test_an_infinite_coefficient_prints_no_warning(tmp_path, capsys, command, cfg, expected):
+    # the NaNs an infinite coefficient makes propagate to the run's own check
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = _run(tmp_path, command, cfg)
+    assert code == expected
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
 def test_thm5_single_coefficient_family(tmp_path):
     # b = 0.5 z / sqrt(1.25) comes from the one-term series with F = 0.5
     b1 = 0.5 / np.sqrt(1.25)
@@ -700,6 +716,11 @@ def test_empty_grid_configs_rejected(tmp_path, command, cfg):
         ("lacunary", {"degrees": [2 ** 20], "points": {"count": 16}}, "lacunary.csv"),
         ("thm5", {"b": [[0.3, 0.0]], "strip_steps": 2 ** 12 + 1, "bandwidth": 2 ** 12}, "thm5_report.json"),
         ("thm5", {"b": [[0.3, 0.0]], "l1_degrees": [2 ** 12], "grid_m": 2 ** 12}, "thm5_report.json"),
+        # a tolerance at Infinity would certify anything that is not NaN
+        ("roundtrip", {"strip_tol": INF}, "roundtrip.csv"),
+        ("roundtrip", {"extract_tol": -1}, "roundtrip.csv"),
+        ("plancherel", {"tol": INF}, "plancherel.csv"),
+        ("plancherel", {"tol": -INF}, "plancherel.csv"),
     ],
 )
 def test_nonpositive_sizes_rejected(tmp_path, capsys, command, cfg, artifact):

@@ -379,15 +379,43 @@ def test_plancherel_inequality_random():
             assert lhs <= rhs + 1e-8
 
 
-def test_plancherel_table_matches_pairwise_checks():
+def _spill_corrupted():
+    """An n=6 system whose stored phi_5 has 1e-6 added to its constant
+    term, so that every pair (l, 5) fails the spill check; and its clean
+    (lhs, rhs, zeros) at (2, 5)."""
+    sys = ladder_from_coeffs(_random_F(np.random.default_rng(15), 6, 0.5))
+    clean = plancherel_check(sys, 2, 5)
+    rows = sys.ladder().copy()  # the stored rows plancherel_check reads, with phi_5 + 1e-6
+    rows[0, _row_slice(5).start] += 1e-6
+    sys._rows = rows
+    return sys, clean
+
+
+def _table_systems():
+    """The n=7 system at radius 0.6, n=16 systems at four radii, a system
+    with a NaN coefficient and the spill-corrupted one."""
     rng = np.random.default_rng(7)
-    F = 0.6 * np.sqrt(rng.uniform(size=7)) * np.exp(2j * np.pi * rng.uniform(size=7))
-    sys = ladder_from_coeffs(F)
-    rows = plancherel_table(sys)
-    pairs = [(l, m) for l in range(7) for m in range(l + 1, 8)]
-    assert [row[:2] for row in rows] == pairs
-    for l, m, *sides in rows:
-        assert tuple(sides) == plancherel_check(sys, l, m)
+    systems = [ladder_from_coeffs(0.6 * np.sqrt(rng.uniform(size=7)) * np.exp(2j * np.pi * rng.uniform(size=7)))]
+    for k, radius in enumerate([0.01, 0.05, 0.2, 1.0]):
+        systems.append(ladder_from_coeffs(_random_F(np.random.default_rng(20 + k), 16, radius)))
+    systems.append(ladder_from_coeffs(np.array([0.3, np.nan, 0.2, 0.1])))
+    systems.append(_spill_corrupted()[0])
+    return systems
+
+
+def _same_bits(x, y):
+    return np.isnan(x) and np.isnan(y) or x == y and np.signbit(x) == np.signbit(y)
+
+
+def test_plancherel_table_matches_pairwise_checks():
+    # the table and a single check take one route, so they agree bit for bit
+    for sys in _table_systems():
+        rows = plancherel_table(sys)
+        pairs = [(l, m) for l in range(sys.size) for m in range(l + 1, sys.size + 1)]
+        assert [row[:2] for row in rows] == pairs
+        for l, m, lhs, rhs, zeros in rows:
+            lhs1, rhs1, zeros1 = plancherel_check(sys, l, m)
+            assert _same_bits(lhs, lhs1) and _same_bits(rhs, rhs1) and zeros == zeros1
 
 
 def test_plancherel_bad_indices():
@@ -409,8 +437,9 @@ def _grid_sides(sys, l, m, nodes):
     return lhs, float(np.sum(np.log1p(np.abs(sys.F[l:m]) ** 2)))
 
 
-def _rows(sys, l, m):
-    return [p.window(0, k) for k in (l, m) for p in (sys.phi[k], sys.phitilde[k])]
+def _plancherel_R(sys, l, m):
+    """R = P / z^{l+1}, the coefficients of P the Plancherel pass reads."""
+    return _plancherel_poly(*sys.ladder(), l, m)[l + 1 : m + 1]
 
 
 def test_plancherel_poly_is_twice_the_forward_a():
@@ -420,9 +449,12 @@ def test_plancherel_poly_is_twice_the_forward_a():
     sys = ladder_from_coeffs(F)
     for l in range(12):
         for m in range(l + 1, 13):
-            R = _plancherel_poly(*_rows(sys, l, m))
+            P = _plancherel_poly(*sys.ladder(), l, m)
             a = forward(F[l:m]).a.window(-(m - l - 1), 0)
-            assert np.max(np.abs(R / 2 - a)) < 1e-14
+            assert np.max(np.abs(P[l + 1 : m + 1] / 2 - a)) < 1e-14
+            # and P has no mass outside degrees l+1..m
+            assert np.max(np.abs(P[: l + 1]), initial=0.0) < 1e-14
+            assert np.max(np.abs(P[m + 1 :]), initial=0.0) < 1e-14
 
 
 @pytest.mark.parametrize("seed", [3, 12])
@@ -452,7 +484,7 @@ def test_plancherel_zeros_count_roots_outside_the_disk():
     for _ in range(4):
         sys = ladder_from_coeffs(_random_F(rng, 16, 1.0))
         for l, m, lhs, rhs, zeros in plancherel_table(sys):
-            R = _plancherel_poly(*_rows(sys, l, m))
+            R = _plancherel_R(sys, l, m)
             assert zeros == np.count_nonzero(np.abs(np.roots(R[::-1])) > 1)
             # a^*_(l,m] is outer exactly when the inequality is an equality
             assert (rhs - lhs <= 1e-13) == (zeros == 0)
@@ -467,13 +499,8 @@ def test_default_plancherel_certifies(tmp_path, seed):
 
 
 def test_plancherel_spill_fails_closed():
-    rng = np.random.default_rng(15)
-    sys = ladder_from_coeffs(_random_F(rng, 6, 0.5))
-    lhs, rhs, zeros = plancherel_check(sys, 2, 5)
+    sys, (lhs, rhs, zeros) = _spill_corrupted()
     assert lhs <= rhs + 1e-8 and zeros >= 0
-    rows = sys.ladder().copy()  # the stored rows plancherel_check reads, with phi_5 + 1e-6
-    rows[0, _row_slice(5).start] += 1e-6
-    sys._rows = rows
     lhs, rhs2, zeros = plancherel_check(sys, 2, 5)
     assert np.isnan(lhs) and zeros == -1 and rhs2 == rhs
     table = {(l, m): lhs for l, m, lhs, _, _ in plancherel_table(sys)}
@@ -532,10 +559,15 @@ def _systems(radius, seeds=range(4)):
 
 @pytest.mark.parametrize("radius", [0.01, 0.05, 0.2, 0.5, 1.0])
 def test_plancherel_table_matches_eigensolve_oracle(monkeypatch, radius):
+    # with the Rouché certificate off, every pair reaches the eigensolve
     systems = _systems(radius)
     tables = [_bits(plancherel_table(sys)) for sys in systems]
+    monkeypatch.setattr(szego, "_rouche", lambda mag, d: np.zeros(mag.shape[:-1], dtype=bool))
     monkeypatch.setattr(szego, "_jensen_sums", _jensen_oracle)
+    calls = _count_eigvals(monkeypatch)
     assert [_bits(plancherel_table(sys)) for sys in systems] == tables
+    # one eigensolve per degree d >= 1 and system, over all its 16 - d pairs
+    assert sorted(calls) == sorted([16 - d for d in range(1, 16)] * len(systems))
 
 
 def test_small_draws_need_no_eigensolve(monkeypatch):
